@@ -37,7 +37,6 @@ from repro.sim.engine import Simulator
 from repro.spdk.stack import SpdkStack
 from repro.ssd.config import SsdConfig
 from repro.ssd.device import IoOp, SsdDevice
-from repro.ssd.presets import nvme_ssd_config, ull_ssd_config
 from repro.ssd.registry import list_devices, load_device_spec, resolve_config
 from repro.ssd.spec import DeviceSpec, DeviceSpecError
 from repro.workloads.job import FioJob, IoEngineKind
@@ -50,8 +49,6 @@ __all__ = [
     "SsdDevice",
     "SsdConfig",
     "IoOp",
-    "ull_ssd_config",
-    "nvme_ssd_config",
     "DeviceSpec",
     "DeviceSpecError",
     "list_devices",

@@ -125,14 +125,14 @@ def _positive_int(text: str) -> int:
 
 
 def _positive_float(text: str) -> float:
-    """argparse type: a strictly positive float."""
+    """argparse type: a strictly positive, finite float."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a positive number, got {text!r}"
         ) from None
-    if value <= 0:
+    if not 0.0 < value < float("inf"):
         raise argparse.ArgumentTypeError(
             f"expected a positive number, got {text!r}"
         )
@@ -256,7 +256,7 @@ def _emit_observability(obs, figure_id: str, args, multi: bool) -> None:
     if args.telemetry:
         print(telemetry_to_text(obs.telemetry))
         print()
-    blame = getattr(obs, "blame", None)
+    blame = obs.blame
     if blame is not None and (
         getattr(args, "blame", False) or getattr(args, "slo", None)
     ):
@@ -444,7 +444,10 @@ def _add_select_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--list", action="store_true", help="list figure ids")
     parser.add_argument("--all", action="store_true", help="run every figure")
     parser.add_argument(
-        "--scale", type=float, default=1.0, help="I/O-count scale factor (default 1.0)"
+        "--scale",
+        type=_positive_float,
+        default=1.0,
+        help="I/O-count scale factor (default 1.0)",
     )
     parser.add_argument(
         "--seed",
@@ -491,7 +494,7 @@ def _build_parser() -> argparse.ArgumentParser:
     perf.add_argument("figures", nargs="*", help="figure ids to time")
     perf.add_argument("--all", action="store_true", help="time every figure")
     perf.add_argument(
-        "--scale", type=float, default=1.0, help="I/O-count scale factor"
+        "--scale", type=_positive_float, default=1.0, help="I/O-count scale factor"
     )
     perf.add_argument(
         "--seed", type=int, default=None, help="device-seed override"
@@ -544,7 +547,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "figures", nargs=1, metavar="figure", help="figure id"
     )
     profile.add_argument(
-        "--scale", type=float, default=1.0, help="I/O-count scale factor"
+        "--scale", type=_positive_float, default=1.0, help="I/O-count scale factor"
     )
     profile.add_argument(
         "--seed", type=int, default=None, help="device-seed override"
@@ -617,7 +620,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument("figures", nargs=1, metavar="figure", help="figure id")
     trace.add_argument(
-        "--scale", type=float, default=1.0, help="I/O-count scale factor"
+        "--scale", type=_positive_float, default=1.0, help="I/O-count scale factor"
     )
     trace.add_argument(
         "--seed", type=int, default=None, help="device-seed override"
@@ -635,7 +638,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     blame.add_argument("figures", nargs=1, metavar="figure", help="figure id")
     blame.add_argument(
-        "--scale", type=float, default=1.0, help="I/O-count scale factor"
+        "--scale", type=_positive_float, default=1.0, help="I/O-count scale factor"
     )
     blame.add_argument(
         "--seed", type=int, default=None, help="device-seed override"
@@ -659,7 +662,12 @@ def _fault_context(args):
         return contextlib.nullcontext()
     from repro.faults.plan import parse_fault_spec
 
-    plan = parse_fault_spec(args.faults, seed=args.fault_seed or 0)
+    try:
+        plan = parse_fault_spec(args.faults, seed=args.fault_seed or 0)
+    except ValueError as exc:
+        # One clean line, like a bad device spec — never a traceback.
+        print(f"fault spec error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
     return plan.installed()
 
 

@@ -35,10 +35,7 @@ Typical use::
   :class:`~repro.ssd.config.SsdConfig` object.
 
 Everything here is deterministic: the same testbed + job produce
-byte-identical results on every run, in any process.  The legacy
-helpers ``run_sync_job``/``run_async_job`` in ``repro.core.experiment``
-and the ``ull_ssd_config``/``nvme_ssd_config`` preset constructors in
-``repro.ssd.presets`` are deprecation shims over this module.
+byte-identical results on every run, in any process.
 """
 
 from __future__ import annotations

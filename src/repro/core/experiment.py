@@ -1,22 +1,16 @@
-"""Build-and-run helpers: one call per measurement.
+"""Low-level builders for code that composes its own simulator.
 
-Each measurement gets a *fresh* simulator and device (preconditioned
-unless told otherwise), so runs are independent and deterministic for a
-given seed.
-
-The run helpers here (``run_sync_job``/``run_async_job``) are
-**deprecated shims** over :mod:`repro.api` — new code should build a
-:class:`repro.api.Testbed` and pass a :class:`repro.api.JobConfig`.
-The low-level builders (``device_config``/``build_device``/
-``build_stack``) remain supported for code that composes its own
-simulator.
+``device_config``/``build_device``/``build_stack`` assemble a fresh
+device (preconditioned unless told otherwise) and host stack, so runs
+are independent and deterministic for a given seed.  To run a whole
+measurement, build a :class:`repro.api.Testbed` and pass a
+:class:`repro.api.JobConfig`.
 """
 
 from __future__ import annotations
 
 import enum
-import warnings
-from typing import Optional, Tuple, Union
+from typing import Optional
 
 from repro.host.costs import DEFAULT_COSTS, SoftwareCosts
 from repro.kstack.completion import CompletionMethod
@@ -26,7 +20,6 @@ from repro.spdk.stack import SpdkStack
 from repro.ssd.config import SsdConfig
 from repro.ssd.device import SsdDevice
 from repro.ssd.presets import build_nvme_preset, build_ull_preset
-from repro.workloads.runner import JobResult
 
 
 class DeviceKind(enum.Enum):
@@ -91,106 +84,3 @@ def build_stack(
         sim, device, completion=completion, costs=costs or DEFAULT_COSTS, seed=seed
     )
 
-
-def run_sync_job(
-    device_kind: DeviceKind,
-    rw: str,
-    *,
-    block_size: int = 4096,
-    io_count: int = 2000,
-    stack: StackKind = StackKind.KERNEL,
-    completion: CompletionMethod = CompletionMethod.INTERRUPT,
-    write_fraction: float = 0.5,
-    precondition: float = 1.0,
-    seed: int = 42,
-    costs: Optional[SoftwareCosts] = None,
-    capture_timeseries: bool = False,
-) -> JobResult:
-    """Deprecated: use :class:`repro.api.Testbed` + :class:`JobConfig`.
-
-    One synchronous (pvsync2 / SPDK-plugin) measurement; the historical
-    convention — one seed drives device, stack, and pattern alike — is
-    preserved through the facade.
-    """
-    warnings.warn(
-        "run_sync_job is deprecated; build a repro.api.Testbed and call "
-        "run_job(JobConfig(...)) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import JobConfig, Testbed
-
-    device_kind = DeviceKind(device_kind)
-    testbed = Testbed(
-        device=device_kind.value,
-        stack=StackKind(stack).value,
-        completion=CompletionMethod(completion).value,
-        precondition=precondition,
-        costs=costs,
-        device_seed=seed,
-        stack_seed=seed,
-    )
-    return testbed.run_job(
-        JobConfig(
-            rw=rw,
-            engine="psync",
-            block_size=block_size,
-            io_count=io_count,
-            write_fraction=write_fraction,
-            seed=seed,
-            capture_timeseries=capture_timeseries,
-            name=f"{device_kind.value}-{rw}-{block_size}",
-        )
-    )
-
-
-def run_async_job(
-    device_kind: DeviceKind,
-    rw: str,
-    *,
-    block_size: int = 4096,
-    iodepth: int = 1,
-    io_count: int = 2000,
-    write_fraction: float = 0.5,
-    precondition: float = 1.0,
-    seed: int = 42,
-    capture_timeseries: bool = False,
-    config: Optional[SsdConfig] = None,
-    want_device: bool = False,
-) -> Union[JobResult, Tuple[JobResult, SsdDevice]]:
-    """Deprecated: use :class:`repro.api.Testbed` + :class:`JobConfig`.
-
-    One asynchronous (libaio, interrupt-completed) measurement.
-    Returns the :class:`JobResult`; with ``want_device=True`` returns
-    ``(result, device)`` for callers that also read device-side state.
-    """
-    warnings.warn(
-        "run_async_job is deprecated; build a repro.api.Testbed and call "
-        "run_job(JobConfig(engine='libaio', ...)) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import JobConfig, Testbed
-
-    device_kind = DeviceKind(device_kind)
-    testbed = Testbed(
-        device=device_kind.value,
-        precondition=precondition,
-        config=config,
-        device_seed=seed,
-        stack_seed=11,
-    )
-    job = JobConfig(
-        rw=rw,
-        engine="libaio",
-        block_size=block_size,
-        iodepth=iodepth,
-        io_count=io_count,
-        write_fraction=write_fraction,
-        seed=seed,
-        capture_timeseries=capture_timeseries,
-        name=f"{device_kind.value}-{rw}-qd{iodepth}",
-    )
-    if want_device:
-        return testbed.run_job(job, want_device=True)
-    return testbed.run_job(job)

@@ -17,12 +17,12 @@ turns that fact into infrastructure:
   of (schema version, point params, device config, cost table) that
   survives across runs;
 * while an :class:`~repro.obs.core.Observability` bundle is installed,
-  the engine steps aside exactly like ``obs_aware_cache`` did: every
-  point executes live (a traced run must actually run to produce
-  spans), nothing is read from or written to either cache, and in
-  parallel mode each worker records into its own bundle which is
-  shipped back and absorbed into the parent tracer/registry in point
-  order.
+  the engine steps aside: every point executes live (a traced run must
+  actually run to produce spans) and nothing is read from or written to
+  either cache.  Each point records into its own
+  :meth:`~repro.obs.core.Observability.fresh` bundle — pickled to a
+  worker process in parallel mode — which is shipped back and absorbed
+  into the installed bundle in point order.
 
 The actual measurement code lives in :mod:`repro.core.runners`; runners
 register themselves by name so worker processes can resolve them after
@@ -231,10 +231,8 @@ def _ambient_telemetry_params():
     never be served to a telemetry-off caller or vice versa, even if a
     future path caches under an installed bundle.
     """
-    telemetry = getattr(current_obs(), "telemetry", None)
-    if telemetry is None or not telemetry.enabled:
-        return None
-    return telemetry.config.to_params()
+    telemetry = current_obs().telemetry
+    return telemetry.config.to_params() if telemetry.enabled else None
 
 
 # NOTE: the self-profiler (repro.obs.prof) and the blame recorder
@@ -332,33 +330,11 @@ def _execute_point(
 def _execute_point_traced(
     runner_name: str,
     params: Tuple[Tuple[str, Any], ...],
-    tracing: bool,
-    metrics: bool,
+    bundle: Observability,
     fault_params=None,
-    telemetry_params=None,
-    profile_params=None,
-    blame_params=None,
 ):
-    """Run one point under a fresh worker-local bundle and ship both back."""
-    telemetry = None
-    if telemetry_params is not None:
-        from repro.obs.telemetry import TelemetryConfig
-
-        telemetry = TelemetryConfig.from_params(telemetry_params)
-    profile = None
-    if profile_params is not None:
-        from repro.obs.prof import ProfilerConfig
-
-        profile = ProfilerConfig.from_params(profile_params)
-    blame = None
-    if blame_params is not None:
-        from repro.obs.blame import BlameConfig
-
-        blame = BlameConfig.from_params(blame_params)
-    bundle = Observability(
-        tracing=tracing, metrics=metrics, telemetry=telemetry, profile=profile,
-        blame=blame,
-    )
+    """Run one point under ``bundle`` (a fresh, empty bundle) and ship
+    the measurement back together with what the bundle recorded."""
     with bundle:
         measurement = _execute_point(runner_name, params, fault_params)
     return measurement, bundle
@@ -430,24 +406,13 @@ class SweepEngine:
 
         if pending:
             fault_params = _ambient_fault_params()
-            if self.jobs > 1 and len(pending) > 1:
-                workers = min(self.jobs, len(pending))
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    futures = [
-                        pool.submit(
-                            _execute_point,
-                            points[0].runner,
-                            points[0].params,
-                            fault_params,
-                        )
-                        for _key, points in pending
-                    ]
-                    measured = [future.result() for future in futures]
-            else:
-                measured = [
-                    _execute_point(points[0].runner, points[0].params, fault_params)
+            measured = self._map(
+                _execute_point,
+                [
+                    (points[0].runner, points[0].params, fault_params)
                     for _key, points in pending
-                ]
+                ],
+            )
             for (key, points), measurement in zip(pending, measured):
                 self.stats.executed += 1
                 self._memo[key] = measurement
@@ -459,64 +424,43 @@ class SweepEngine:
         return {point.key: results[point.key] for point in spec.points}
 
     # ------------------------------------------------------------------
-    def _run_traced(self, spec: ExperimentSpec, obs) -> Dict[Any, Measurement]:
+    def _run_traced(
+        self, spec: ExperimentSpec, obs: Observability
+    ) -> Dict[Any, Measurement]:
         """Live execution under an installed bundle: no cache on either
         side, every point runs, spans/metrics land in ``obs``.
 
         Serial and parallel take the same shape — each point records
-        into a fresh per-point bundle which is absorbed into ``obs`` in
-        spec order — so traced output is identical either way by
+        into ``obs.fresh()``, which is absorbed into ``obs`` in spec
+        order — so traced output is identical either way by
         construction (gauge time-weighting in particular cannot be
         merged from aggregates any other way: each point restarts the
         simulator clock at zero).
         """
-        results: Dict[Any, Measurement] = {}
-        points = spec.points
-        tracing = bool(getattr(obs.tracer, "enabled", False))
-        metrics = bool(getattr(obs.registry, "enabled", False))
         fault_params = _ambient_fault_params()
-        telemetry = getattr(obs, "telemetry", None)
-        telemetry_params = (
-            telemetry.config.to_params()
-            if telemetry is not None and telemetry.enabled
-            else None
+        pairs = self._map(
+            _execute_point_traced,
+            [
+                (point.runner, point.params, obs.fresh(), fault_params)
+                for point in spec.points
+            ],
         )
-        profiler = getattr(obs, "profiler", None)
-        profile_params = (
-            profiler.config.to_params()
-            if profiler is not None and profiler.enabled
-            else None
-        )
-        blame = getattr(obs, "blame", None)
-        blame_params = blame.config.to_params() if blame is not None else None
-        if self.jobs > 1 and len(points) > 1:
-            workers = min(self.jobs, len(points))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(
-                        _execute_point_traced, point.runner, point.params,
-                        tracing, metrics, fault_params, telemetry_params,
-                        profile_params, blame_params,
-                    )
-                    for point in points
-                ]
-                pairs = [future.result() for future in futures]
-        else:
-            pairs = [
-                _execute_point_traced(
-                    point.runner, point.params, tracing, metrics, fault_params,
-                    telemetry_params, profile_params, blame_params,
-                )
-                for point in points
-            ]
-        # Absorb per-point bundles in spec order: deterministic pids,
-        # io ids, and metric merge order.
-        for point, (measurement, bundle) in zip(points, pairs):
+        results: Dict[Any, Measurement] = {}
+        for point, (measurement, bundle) in zip(spec.points, pairs):
             self.stats.executed += 1
             self.stats.traced += 1
             obs.absorb(bundle)
             results[point.key] = measurement
         return results
+
+    def _map(self, fn: Callable[..., Any], calls: List[Tuple[Any, ...]]) -> List[Any]:
+        """``[fn(*args) for args in calls]``, in order, fanned out over a
+        process pool when the engine has more than one job."""
+        if self.jobs > 1 and len(calls) > 1:
+            with ProcessPoolExecutor(max_workers=min(self.jobs, len(calls))) as pool:
+                futures = [pool.submit(fn, *args) for args in calls]
+                return [future.result() for future in futures]
+        return [fn(*args) for args in calls]
 
 
 # ----------------------------------------------------------------------

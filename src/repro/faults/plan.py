@@ -51,8 +51,21 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Per-layer fault specifications
 # ----------------------------------------------------------------------
+class _LayerFaults:
+    """Shared validation: every ``*_prob`` field is a probability."""
+
+    def __post_init__(self) -> None:
+        layer = type(self).__name__[: -len("Faults")].lower()  # NandFaults -> nand
+        for spec_field in dataclasses.fields(self):  # type: ignore[arg-type]
+            value = getattr(self, spec_field.name)
+            if spec_field.name.endswith("_prob") and not 0.0 <= value <= 1.0:
+                raise ValueError(
+                    f"{layer}.{spec_field.name}={value!r} is not a probability in [0, 1]"
+                )
+
+
 @dataclass(frozen=True)
-class NandFaults:
+class NandFaults(_LayerFaults):
     """Flash-array failures the SSD controller must recover from.
 
     A failed page read is retried with tuned read-reference voltages
@@ -74,7 +87,7 @@ class NandFaults:
 
 
 @dataclass(frozen=True)
-class NvmeFaults:
+class NvmeFaults(_LayerFaults):
     """Lost completions at the NVMe transport.
 
     With probability ``timeout_prob`` a fetched command's completion is
@@ -98,7 +111,7 @@ class NvmeFaults:
 
 
 @dataclass(frozen=True)
-class KstackFaults:
+class KstackFaults(_LayerFaults):
     """blk-mq dispatch pressure: ``BLK_STS_RESOURCE`` requeues.
 
     Each dispatch attempt fails with ``requeue_prob``; the request is
@@ -118,7 +131,7 @@ class KstackFaults:
 
 
 @dataclass(frozen=True)
-class NetFaults:
+class NetFaults(_LayerFaults):
     """NBD link failures: periodic flaps and per-message drops.
 
     ``flap_interval_ns > 0`` takes the link down for ``outage_ns``
@@ -303,10 +316,15 @@ def parse_fault_spec(items: Iterable[object], *, seed: int = 0) -> FaultPlan:
                 raise ValueError(
                     f"unknown fault field {layer}.{name} (known: {known})"
                 )
-            if spec_fields[name].type in ("int", int):
-                value: Any = int(raw.strip().replace("_", ""), 0)
-            else:
-                value = float(raw.strip())
+            try:
+                if spec_fields[name].type in ("int", int):
+                    value: Any = int(raw.strip().replace("_", ""), 0)
+                else:
+                    value = float(raw.strip())
+            except ValueError:
+                raise ValueError(
+                    f"fault field {layer}.{name} needs a number, got {raw.strip()!r}"
+                ) from None
             overrides.setdefault(layer, {})[name] = value
     kwargs: Dict[str, Any] = {"seed": seed}
     for layer, fields in overrides.items():

@@ -25,6 +25,9 @@ Six pieces:
   telemetry dumps, a self-contained HTML timeline report, and the
   latency-anatomy breakdown.
 
+Every recorder follows one lifecycle protocol (:mod:`repro.obs.recorder`),
+which the :class:`Observability` bundle loops over.
+
 Instrumentation is off by default (no-op tracer and registry); enable
 it for any code that builds its own simulators with::
 
@@ -47,7 +50,7 @@ from repro.obs.blame import (
     parse_duration_ns,
     verify_blame_conservation,
 )
-from repro.obs.core import NULL_OBS, Observability, current_obs, obs_aware_cache
+from repro.obs.core import NULL_OBS, Observability, current_obs
 from repro.obs.prof import (
     NULL_PROFILER,
     CallSite,
@@ -120,7 +123,6 @@ __all__ = [
     "verify_conservation",
     "Observability",
     "current_obs",
-    "obs_aware_cache",
     "NULL_OBS",
     "atomic_write_text",
     "chrome_trace_events",

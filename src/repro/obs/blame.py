@@ -52,7 +52,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.obs.telemetry import DEFAULT_PERIOD_NS, TailDigest, TimeSeries
+from repro.obs.recorder import PidScoped
+from repro.obs.telemetry import DEFAULT_PERIOD_NS, TailDigest, TimeSeries, absorb_series
 from repro.obs.tracer import WaitEdge
 
 if TYPE_CHECKING:
@@ -176,9 +177,10 @@ class BlameConfig:
     ``top`` bounds the outlier reservoir per (device, op) group;
     ``slos`` is the tuple of :class:`SloSpec` objectives to monitor;
     ``period_ns`` is the bucket width of the SLO burn-rate series.
-    Ships to sweep workers via :meth:`to_params` (the
-    ``TelemetryConfig``/``ProfilerConfig`` pattern) but is *excluded*
-    from sweep cache keys — see ``repro.core.sweep.point_cache_key``.
+    Reaches sweep workers inside the pickled bundle
+    :meth:`~repro.obs.core.Observability.fresh` builds, and is
+    *excluded* from sweep cache keys — see
+    ``repro.core.sweep.point_cache_key``.
     """
 
     __slots__ = ("top", "slos", "period_ns")
@@ -196,29 +198,6 @@ class BlameConfig:
         self.top = int(top)
         self.slos = tuple(slos)
         self.period_ns = int(period_ns)
-
-    def to_params(self) -> Tuple[Tuple[str, Any], ...]:
-        return (
-            ("period_ns", self.period_ns),
-            (
-                "slos",
-                tuple((s.op, s.threshold_ns, s.objective) for s in self.slos),
-            ),
-            ("top", self.top),
-        )
-
-    @classmethod
-    def from_params(cls, params: Tuple[Tuple[str, Any], ...]) -> "BlameConfig":
-        table = dict(params)
-        slos = tuple(
-            SloSpec(op, int(threshold_ns), float(objective))
-            for op, threshold_ns, objective in table["slos"]
-        )
-        return cls(
-            top=int(table["top"]),
-            slos=slos,
-            period_ns=int(table["period_ns"]),
-        )
 
 
 class OutlierRecord:
@@ -320,23 +299,20 @@ def _record_key(record: OutlierRecord) -> Tuple[int, int, int]:
     return (-record.latency_ns, record.pid, record.io_id)
 
 
-class BlameRecorder:
+class BlameRecorder(PidScoped):
     """Consumes finished traces; keeps outliers, aggregates and SLOs.
 
     Wired into :class:`repro.obs.tracer.SpanTracer` by the
     Observability bundle; requires tracing (wait edges ride on the
-    trace context).  All state merges exactly across sweep workers via
-    :meth:`absorb`.
+    trace context), and the tracer forwards it ``new_sim``,
+    ``label_device`` and ``absorb``.  All state merges exactly across
+    sweep workers via :meth:`absorb`.
     """
 
-    enabled = True
-
     def __init__(self, config: Optional[BlameConfig] = None) -> None:
+        super().__init__()
         self.config = config or BlameConfig()
-        self._pid = 0
         self.observed = 0
-        #: pid -> registry/spec name of the device that sim ran against.
-        self.device_labels: Dict[int, str] = {}
         #: (device, op) -> top-K outliers, slowest first.
         self._groups: Dict[Tuple[str, str], List[OutlierRecord]] = {}
         #: (device, op) -> latency digest over every I/O in the group.
@@ -347,20 +323,6 @@ class BlameRecorder:
         self._slo_miss: List[int] = [0] * len(self.config.slos)
         #: (pid, spec index, "checked"|"misses") -> burn-rate series.
         self._slo_series: Dict[Tuple[int, int, str], TimeSeries] = {}
-
-    # ------------------------------------------------------------------
-    def new_sim(self) -> None:
-        """A fresh simulator attached; its I/Os get the next pid."""
-        self._pid += 1
-
-    @property
-    def current_pid(self) -> int:
-        return max(1, self._pid)
-
-    def label_device(self, label: str) -> None:
-        """Record which device the current sim's I/Os run against."""
-        if label:
-            self.device_labels[self.current_pid] = label
 
     # ------------------------------------------------------------------
     def observe(self, trace: "IoTrace") -> None:
@@ -552,7 +514,7 @@ class BlameRecorder:
         absorb ran (the recorder does not track io ids itself), so
         captured records name the ids a serial run would have assigned.
         """
-        pid_base = self._pid
+        pid_base = self._rebase(other)
         top = self.config.top
         for key in sorted(other._groups):
             records = other._groups[key]
@@ -579,18 +541,7 @@ class BlameRecorder:
         for index in range(min(len(self._slo_total), len(other._slo_total))):
             self._slo_total[index] += other._slo_total[index]
             self._slo_miss[index] += other._slo_miss[index]
-        for (pid, index, which) in sorted(other._slo_series):
-            series = other._slo_series[(pid, index, which)]
-            new_key = (pid + pid_base, index, which)
-            series.pid = pid + pid_base
-            mine_series = self._slo_series.get(new_key)
-            if mine_series is None:
-                self._slo_series[new_key] = series
-            else:
-                mine_series._merge_from(series)
-        for pid, label in sorted(other.device_labels.items()):
-            self.device_labels[pid + pid_base] = label
-        self._pid += other._pid
+        absorb_series(self._slo_series, other._slo_series, pid_base)
         self.observed += other.observed
 
 

@@ -12,15 +12,19 @@ internally — is one context manager around the call:
 
 The default is :data:`NULL_OBS`: a no-op tracer and registry, so
 uninstrumented runs pay nothing and stay bit-identical.
+
+Every recorder follows one protocol (:mod:`repro.obs.recorder`), so the
+bundle names its recorders only to build them; ``attach``,
+``label_device`` and ``absorb`` loop over :attr:`Observability.recorders`.
 """
 
 from __future__ import annotations
 
-import functools
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Union
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple, Type, TypeVar, Union
 
 from repro.obs.blame import BlameConfig, BlameRecorder
 from repro.obs.prof import NULL_PROFILER, Profiler, ProfilerConfig
+from repro.obs.recorder import Recorder
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, SpanTracer
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, TelemetryConfig
@@ -29,9 +33,30 @@ if TYPE_CHECKING:
     from repro.sim.engine import Simulator
 
 
+R = TypeVar("R", bound=Recorder)
+N = TypeVar("N")
+
+
+def _resolve(value: Any, recorder_type: Type[R], config_type: type, null: N) -> Union[R, N]:
+    """An opt-in recorder from ``True`` (defaults), a config, a ready
+    instance (kept by identity), or ``None``/``False`` (``null``)."""
+    if value is None or value is False:
+        return null
+    if value is True:
+        return recorder_type()
+    if isinstance(value, config_type):
+        return recorder_type(value)
+    if isinstance(value, recorder_type):
+        return value
+    raise TypeError(
+        f"expected bool, {config_type.__name__} or {recorder_type.__name__}, "
+        f"got {type(value).__name__}"
+    )
+
+
 class Observability:
-    """A tracer plus a registry (plus, optionally, telemetry),
-    installable as the process default."""
+    """A tracer plus a registry (plus, optionally, telemetry, the
+    self-profiler and blame), installable as the process default."""
 
     def __init__(
         self,
@@ -44,62 +69,50 @@ class Observability:
     ) -> None:
         self.tracer = SpanTracer() if tracing else NULL_TRACER
         self.registry = MetricsRegistry() if metrics else NULL_REGISTRY
-        # Telemetry is opt-in: pass True for defaults, or a
-        # TelemetryConfig to control period/capacity/series.
-        if telemetry is True:
-            self.telemetry = Telemetry()
-        elif isinstance(telemetry, TelemetryConfig):
-            self.telemetry = Telemetry(telemetry)
-        elif isinstance(telemetry, Telemetry):
-            self.telemetry = telemetry
-        else:
-            self.telemetry = NULL_TELEMETRY
-        # The self-profiler (repro.obs.prof) is opt-in the same way.
-        if profile is True:
-            self.profiler = Profiler()
-        elif isinstance(profile, ProfilerConfig):
-            self.profiler = Profiler(profile)
-        elif isinstance(profile, Profiler):
-            self.profiler = profile
-        else:
-            self.profiler = NULL_PROFILER
-        # Blame attribution (repro.obs.blame) is opt-in the same way,
-        # but rides on the tracer: wait edges live on trace contexts.
-        if blame is True:
-            self.blame: Optional[BlameRecorder] = BlameRecorder()
-        elif isinstance(blame, BlameConfig):
-            self.blame = BlameRecorder(blame)
-        elif isinstance(blame, BlameRecorder):
-            self.blame = blame
-        else:
-            self.blame = None
+        self.telemetry = _resolve(telemetry, Telemetry, TelemetryConfig, NULL_TELEMETRY)
+        self.profiler = _resolve(profile, Profiler, ProfilerConfig, NULL_PROFILER)
+        # Blame rides on the tracer: wait edges live on trace contexts,
+        # and the tracer forwards it every lifecycle call.
+        self.blame: Optional[BlameRecorder] = _resolve(
+            blame, BlameRecorder, BlameConfig, None
+        )
         if self.blame is not None:
-            if not self.tracer.enabled:
+            if not isinstance(self.tracer, SpanTracer):
                 raise ValueError(
                     "blame attribution requires tracing "
                     "(wait edges ride on trace contexts)"
                 )
-            assert isinstance(self.tracer, SpanTracer)
             self.tracer.blame = self.blame
+        candidates = (self.tracer, self.registry, self.telemetry, self.profiler)
+        #: The enabled recorders, in a fixed order; every lifecycle call
+        #: loops over them.  (The null objects are not recorders.)
+        self.recorders: Tuple[Recorder, ...] = tuple(
+            recorder for recorder in candidates if isinstance(recorder, Recorder)
+        )
 
     @property
     def enabled(self) -> bool:
-        return (
-            self.tracer.enabled
-            or self.registry.enabled
-            or self.telemetry.enabled
-            or self.profiler.enabled
-            or self.blame is not None
+        return bool(self.recorders)
+
+    def fresh(self) -> "Observability":
+        """An empty bundle with this one's recorder configs.
+
+        Sweep workers record each point into one (it pickles small:
+        configs only), and the parent absorbs it back in point order.
+        """
+        return Observability(
+            tracing=self.tracer.enabled,
+            metrics=self.registry.enabled,
+            telemetry=self.telemetry.config,
+            profile=self.profiler.config,
+            blame=self.blame.config if self.blame is not None else None,
         )
 
     # ------------------------------------------------------------------
     def attach(self, sim: "Simulator") -> None:
         """Called by each :class:`Simulator` binding itself to this bundle."""
-        self.tracer.new_sim()
-        self.telemetry.new_sim()
-        self.profiler.new_sim()
-        if self.blame is not None:
-            self.blame.new_sim()
+        for recorder in self.recorders:
+            recorder.new_sim()
 
     def label_device(self, label: str) -> None:
         """Stamp the current sim's spans/series with a device name.
@@ -108,31 +121,20 @@ class Observability:
         the registry/spec label its config resolved from, so traces and
         telemetry say *which* device a pid measured.
         """
-        self.tracer.label_device(label)
-        self.telemetry.label_device(label)
-        if self.blame is not None:
-            self.blame.label_device(label)
+        for recorder in self.recorders:
+            recorder.label_device(label)
 
     def absorb(self, other: "Observability") -> None:
-        """Merge a worker bundle (spans, metrics, telemetry) into this one.
+        """Merge a worker bundle built by :meth:`fresh` into this one.
 
         The sweep engine ships per-point bundles back from worker
         processes and absorbs them in point order, so parallel traced
         runs produce the same pids/io ids a serial run would.
         """
-        io_base = getattr(self.tracer, "_next_io_id", 0)
-        if self.tracer.enabled and getattr(other.tracer, "enabled", False):
-            self.tracer.absorb(other.tracer)
-        if self.registry.enabled and getattr(other.registry, "enabled", False):
-            self.registry.absorb(other.registry)
-        if self.telemetry.enabled and getattr(other.telemetry, "enabled", False):
-            self.telemetry.absorb(other.telemetry)
-        if self.profiler.enabled and getattr(other.profiler, "enabled", False):
-            assert isinstance(self.profiler, Profiler)
-            self.profiler.absorb(other.profiler)
-        if self.blame is not None and getattr(other, "blame", None) is not None:
-            assert other.blame is not None
-            self.blame.absorb(other.blame, io_base=io_base)
+        if tuple(map(type, other.recorders)) != tuple(map(type, self.recorders)):
+            raise ValueError("can only absorb a bundle built by fresh() on this one")
+        for mine, theirs in zip(self.recorders, other.recorders):
+            mine.absorb(theirs)
 
     # ------------------------------------------------------------------
     def install(self) -> "Observability":
@@ -150,52 +152,12 @@ class Observability:
         self.uninstall()
 
 
-class _NullObservability:
-    """The zero-cost default bundle."""
-
-    tracer = NULL_TRACER
-    registry = NULL_REGISTRY
-    telemetry = NULL_TELEMETRY
-    profiler = NULL_PROFILER
-    blame: Optional[BlameRecorder] = None
-    enabled = False
-
-    def attach(self, sim: "Simulator") -> None:
-        pass
-
-    def label_device(self, label: str) -> None:
-        pass
-
-
-NULL_OBS = _NullObservability()
+#: The zero-cost default bundle: no recorder enabled.
+NULL_OBS = Observability(tracing=False, metrics=False)
 
 _INSTALLED: List[Observability] = []
 
 
-def current_obs() -> Union[Observability, _NullObservability]:
+def current_obs() -> Observability:
     """The innermost installed bundle, or the no-op default."""
     return _INSTALLED[-1] if _INSTALLED else NULL_OBS
-
-
-def obs_aware_cache(fn: Callable[..., Any]) -> Callable[..., Any]:
-    """``lru_cache(maxsize=None)`` that steps aside while observability
-    is installed.
-
-    Figure measurements are memoized so figures can share runs, but a
-    traced run must actually execute to produce spans — and a result
-    computed under tracing must not be served to an untraced caller
-    (or vice versa).  While a bundle is installed the call runs fresh
-    and the cache is neither consulted nor populated.
-    """
-    cached = functools.lru_cache(maxsize=None)(fn)
-
-    @functools.wraps(fn)
-    def wrapper(*args: Any, **kwargs: Any) -> Any:
-        if current_obs().enabled:
-            return fn(*args, **kwargs)
-        return cached(*args, **kwargs)
-
-    wrapper.cache_clear = cached.cache_clear
-    wrapper.cache_info = cached.cache_info
-    wrapper.__wrapped__ = fn
-    return wrapper

@@ -52,6 +52,7 @@ from types import CodeType
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.obs.export import atomic_write_text
+from repro.obs.recorder import Recorder
 from repro.obs.telemetry import (
     DEFAULT_PERIOD_NS,
     TailDigest,
@@ -120,22 +121,6 @@ class ProfilerConfig:
         self.wall = bool(wall)
         self.period_ns = int(period_ns)
         self.top = int(top)
-
-    def to_params(self) -> Tuple[Tuple[str, Any], ...]:
-        return (
-            ("period_ns", self.period_ns),
-            ("top", self.top),
-            ("wall", self.wall),
-        )
-
-    @classmethod
-    def from_params(cls, params: Tuple[Tuple[str, Any], ...]) -> "ProfilerConfig":
-        table = dict(params)
-        return cls(
-            wall=bool(table["wall"]),
-            period_ns=int(table["period_ns"]),
-            top=int(table["top"]),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -211,7 +196,7 @@ def _generator_behind_event(event: Any, depth: int) -> Optional[Any]:
 # ----------------------------------------------------------------------
 # The profiler
 # ----------------------------------------------------------------------
-class Profiler:
+class Profiler(Recorder):
     """Event-attribution + queue-introspection recorder.
 
     One instance profiles every simulator attached to its
@@ -220,8 +205,6 @@ class Profiler:
     private recorder).  All counts are exact and deterministic; wall
     nanoseconds are host measurements and vary run to run.
     """
-
-    enabled = True
 
     def __init__(self, config: Optional[ProfilerConfig] = None) -> None:
         self.config = config or ProfilerConfig()
@@ -256,36 +239,12 @@ class Profiler:
         self._refresh_series()
 
     # ------------------------------------------------------------------
-    # Pickling: worker bundles ship whole profilers back to the parent.
+    # Pickling: sweep workers receive and return whole bundles.  The
+    # attribution cache holds code objects, which do not pickle; it
+    # refills on demand.
     # ------------------------------------------------------------------
     def __getstate__(self) -> Dict[str, Any]:
-        state = {
-            name: getattr(self, name)
-            for name in (
-                "config",
-                "events",
-                "wall_ns",
-                "inserts",
-                "dispatches",
-                "stale_wakeups",
-                "trampoline_hops",
-                "peak_depth",
-                "sift_cost",
-                "batches",
-                "batch_sizes",
-                "telemetry",
-                "_tick",
-                "_batch_n",
-            )
-        }
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-        self._wall = self.config.wall
-        self._sites = {}
-        self._refresh_series()
+        return {**self.__dict__, "_sites": {}}
 
     # ------------------------------------------------------------------
     # Sim lifecycle
@@ -504,9 +463,6 @@ class NullProfiler:
     config: Optional[ProfilerConfig] = None
     events: Dict[CallSite, int] = {}
     wall_ns: Dict[CallSite, int] = {}
-
-    def new_sim(self) -> None:
-        pass
 
     def note_insert(self, now_ns: int, when_ns: int, depth: int) -> None:
         pass

@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
+from repro.obs.recorder import Recorder
+
 
 class Counter:
     """A monotonically increasing count."""
@@ -138,10 +140,12 @@ Metric = Union[Counter, Gauge, Histogram]
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 
-class MetricsRegistry:
-    """Named instruments, get-or-create, insertion-ordered."""
+class MetricsRegistry(Recorder):
+    """Named instruments, get-or-create, insertion-ordered.
 
-    enabled = True
+    Not scoped per simulator: every run updates the same instruments,
+    so the recorder protocol's ``new_sim``/``label_device`` no-ops apply.
+    """
 
     def __init__(self) -> None:
         self._metrics: Dict[str, Metric] = {}

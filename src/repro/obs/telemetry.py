@@ -42,6 +42,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
+from repro.obs.recorder import PidScoped
+
 #: Default sampling period: 10 us resolves queue ramps and GC cycles on
 #: runs whose interesting dynamics play out over milliseconds.
 DEFAULT_PERIOD_NS = 10_000
@@ -432,18 +434,8 @@ class TelemetryConfig:
             ("series", self.series),
         )
 
-    @classmethod
-    def from_params(cls, params: Tuple[Tuple[str, Any], ...]) -> "TelemetryConfig":
-        table = dict(params)
-        series = table.get("series")
-        return cls(
-            period_ns=int(table["period_ns"]),
-            capacity=int(table["capacity"]),
-            series=tuple(series) if series is not None else None,
-        )
 
-
-class Telemetry:
+class Telemetry(PidScoped):
     """The recorder: named series scoped per simulator run (pid).
 
     Layers call ``series(...)`` at construction and feed updates on
@@ -451,28 +443,10 @@ class Telemetry:
     :data:`NULL_SERIES` instead, so every update is one no-op call.
     """
 
-    enabled = True
-
     def __init__(self, config: Optional[TelemetryConfig] = None) -> None:
+        super().__init__()
         self.config = config or TelemetryConfig()
         self._series: "Dict[Tuple[int, str], TimeSeries]" = {}
-        self._pid = 0
-        #: pid -> registry/spec name of the device that sim ran against.
-        self.device_labels: Dict[int, str] = {}
-
-    # ------------------------------------------------------------------
-    def new_sim(self) -> None:
-        """A fresh simulator attached; its series get the next pid."""
-        self._pid += 1
-
-    @property
-    def current_pid(self) -> int:
-        return max(1, self._pid)
-
-    def label_device(self, label: str) -> None:
-        """Record which device the current sim's series measure."""
-        if label:
-            self.device_labels[self.current_pid] = label
 
     # ------------------------------------------------------------------
     def series(
@@ -545,19 +519,25 @@ class Telemetry:
         would have made, so parallel telemetry is byte-identical to
         serial by construction.
         """
-        pid_base = self._pid
-        for (pid, name), series in sorted(other._series.items()):
-            new_pid = pid + pid_base
-            series.pid = new_pid
-            key = (new_pid, name)
-            mine = self._series.get(key)
-            if mine is None:
-                self._series[key] = series
-            else:
-                mine._merge_from(series)
-        for pid, label in sorted(other.device_labels.items()):
-            self.device_labels[pid + pid_base] = label
-        self._pid += other._pid
+        absorb_series(self._series, other._series, self._rebase(other))
+
+
+def absorb_series(
+    table: Dict[Any, TimeSeries], other: Dict[Any, TimeSeries], pid_base: int
+) -> None:
+    """Move a worker's series, keyed ``(pid, ...)``, into ``table``.
+
+    Each series' pid is rebased by ``pid_base``; one that lands on a key
+    already in ``table`` merges into the series there.
+    """
+    for key, series in sorted(other.items()):
+        series.pid = key[0] + pid_base
+        new_key = (series.pid,) + key[1:]
+        mine = table.get(new_key)
+        if mine is None:
+            table[new_key] = series
+        else:
+            mine._merge_from(series)
 
 
 class _NullSeries:
@@ -601,13 +581,6 @@ class NullTelemetry:
 
     enabled = False
     config: Optional[TelemetryConfig] = None
-    device_labels: Dict[int, str] = {}
-
-    def new_sim(self) -> None:
-        pass
-
-    def label_device(self, label: str) -> None:
-        pass
 
     def series(
         self, name: str, kind: str = "level", unit: str = "", *, scale: int = 1

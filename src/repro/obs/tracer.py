@@ -23,8 +23,10 @@ tracer (see :mod:`repro.obs.core`) and every layer reaches it through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+
+from repro.obs.recorder import PidScoped
 
 if TYPE_CHECKING:
     from repro.obs.blame import BlameRecorder
@@ -234,41 +236,34 @@ class IoTrace:
         return self.phases() + self._nested
 
 
-class SpanTracer:
-    """Collects per-I/O contexts and background track spans."""
+class SpanTracer(PidScoped):
+    """Collects per-I/O contexts and background track spans.
 
-    enabled = True
+    Each simulator's spans land in their own Chrome-trace process (pid)
+    so back-to-back measurement runs do not overlap in the viewer.  A
+    wired :class:`~repro.obs.blame.BlameRecorder` rides along: the
+    tracer forwards it every lifecycle call, so its pids stay the
+    tracer's.
+    """
 
     def __init__(self) -> None:
+        super().__init__()
         self._next_io_id = 0
-        self._pid = 0
         self.finished_ios: List[IoTrace] = []
         self.track_spans: List[Span] = []
-        #: pid -> registry/spec name of the device that sim ran against
-        #: (fed by device construction; names the Chrome-trace process).
-        self.device_labels: Dict[int, str] = {}
         #: Optional blame consumer, fed each finished trace (see
         #: :mod:`repro.obs.blame`); wired by the Observability bundle.
         self.blame: Optional["BlameRecorder"] = None
 
-    # ------------------------------------------------------------------
     def new_sim(self) -> None:
-        """Called when a fresh :class:`Simulator` attaches.
-
-        Each simulator's spans land in their own Chrome-trace process so
-        back-to-back measurement runs (each with its own clock starting
-        at zero) do not overlap in the viewer.
-        """
-        self._pid += 1
-
-    @property
-    def current_pid(self) -> int:
-        return max(1, self._pid)
+        super().new_sim()
+        if self.blame is not None:
+            self.blame.new_sim()
 
     def label_device(self, label: str) -> None:
-        """Record which device the current sim's spans run against."""
-        if label:
-            self.device_labels[self.current_pid] = label
+        super().label_device(label)
+        if self.blame is not None:
+            self.blame.label_device(label)
 
     # ------------------------------------------------------------------
     def begin_io(self, op: object, offset: int, nbytes: int, at: int) -> IoTrace:
@@ -314,46 +309,23 @@ class SpanTracer:
         counters, so absorbing worker bundles in submission order yields
         the same ids a serial run would have assigned.
         """
-        pid_base = self._pid
         io_base = self._next_io_id
+        pid_base = self._rebase(other)
         for trace in other.finished_ios:
             trace.tracer = self
             trace.io_id += io_base
             trace.pid += pid_base
-            if trace._nested:
-                trace._nested = [
-                    Span(
-                        name=span.name,
-                        start_ns=span.start_ns,
-                        end_ns=span.end_ns,
-                        track=span.track,
-                        io_id=trace.io_id,
-                        depth=span.depth,
-                        args=span.args,
-                    )
-                    for span in trace._nested
-                ]
+            trace._nested = [replace(span, io_id=trace.io_id) for span in trace._nested]
             self.finished_ios.append(trace)
         for span in other.track_spans:
             args = tuple(
                 ("pid", value + pid_base) if name == "pid" else (name, value)
                 for name, value in span.args
             )
-            self.track_spans.append(
-                Span(
-                    name=span.name,
-                    start_ns=span.start_ns,
-                    end_ns=span.end_ns,
-                    track=span.track,
-                    io_id=span.io_id,
-                    depth=span.depth,
-                    args=args,
-                )
-            )
-        for pid, label in sorted(other.device_labels.items()):
-            self.device_labels[pid + pid_base] = label
-        self._pid += other._pid
+            self.track_spans.append(replace(span, args=args))
         self._next_io_id += other._next_io_id
+        if self.blame is not None and other.blame is not None:
+            self.blame.absorb(other.blame, io_base=io_base)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -380,13 +352,6 @@ class NullTracer:
     """
 
     enabled = False
-    device_labels: Dict[int, str] = {}
-
-    def new_sim(self) -> None:
-        pass
-
-    def label_device(self, label: str) -> None:
-        pass
 
     def begin_io(
         self, op: object, offset: int, nbytes: int, at: int

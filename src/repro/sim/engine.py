@@ -89,10 +89,8 @@ class Simulator:
         #: construction like ``sanitize``: ``None`` unless the attached
         #: bundle carries an enabled profiler, so the unprofiled hot
         #: path pays exactly one ``is not None`` check per hook.
-        profiler = getattr(self.obs, "profiler", None)
-        self._prof: "Optional[Profiler]" = (
-            profiler if profiler is not None and profiler.enabled else None
-        )
+        profiler = self.obs.profiler
+        self._prof: "Optional[Profiler]" = profiler if profiler.enabled else None
 
     # ------------------------------------------------------------------
     # Scheduling primitives

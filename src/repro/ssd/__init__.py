@@ -11,8 +11,7 @@ Device configurations come from the declarative spec registry
 800 GB Z-SSD prototype, ``resolve_config("intel750")`` the Intel
 750-class NVMe comparison device, and the rest of the zoo
 (``planar-mlc``, ``tlc-multistep``, ``qlc``, ``no-gc-pm``) covers other
-flash generations.  The legacy ``ull_ssd_config``/``nvme_ssd_config``
-constructors still work but are deprecated.
+flash generations.
 """
 
 from repro.ssd.config import SsdConfig
@@ -20,7 +19,6 @@ from repro.ssd.cache import ReadCache, WriteBuffer
 from repro.ssd.channels import ChannelArray
 from repro.ssd.power import PowerMeter, PowerParams
 from repro.ssd.device import DeviceRequest, SsdDevice
-from repro.ssd.presets import nvme_ssd_config, ull_ssd_config
 from repro.ssd.registry import list_devices, load_device_spec, resolve_config
 from repro.ssd.spec import DeviceSpec, DeviceSpecError
 
@@ -38,6 +36,4 @@ __all__ = [
     "list_devices",
     "load_device_spec",
     "resolve_config",
-    "ull_ssd_config",
-    "nvme_ssd_config",
 ]

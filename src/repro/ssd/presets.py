@@ -8,14 +8,11 @@ These hand-wired builders are the byte-identity reference for the
 ``zssd``/``intel750`` specs in the device zoo (``devices/``), and the
 construction path behind the ``"ull"``/``"nvme"`` preset names — which
 is why their sweep cache identity never changed when the registry
-landed.  The public ``ull_ssd_config``/``nvme_ssd_config`` entry points
-are deprecated shims; new code names devices through
+landed.  Code outside the registry names devices through
 :mod:`repro.ssd.registry` / :class:`repro.api.Testbed` instead.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from repro.flash.timing import PLANAR_MLC, Z_NAND
 from repro.ssd.config import SsdConfig
@@ -149,32 +146,3 @@ def build_nvme_preset(
             transfer_w=0.015,
         ),
     )
-
-
-# ----------------------------------------------------------------------
-# Deprecated shims
-# ----------------------------------------------------------------------
-def ull_ssd_config(**overrides: int) -> SsdConfig:
-    """Deprecated: use ``Testbed(device="zssd")`` or
-    ``repro.ssd.registry.resolve_config("zssd")`` instead."""
-    warnings.warn(
-        "ull_ssd_config is deprecated; name the device instead — "
-        "repro.api.Testbed(device='zssd') or "
-        "repro.ssd.registry.resolve_config('zssd')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return build_ull_preset(**overrides)
-
-
-def nvme_ssd_config(**overrides: int) -> SsdConfig:
-    """Deprecated: use ``Testbed(device="intel750")`` or
-    ``repro.ssd.registry.resolve_config("intel750")`` instead."""
-    warnings.warn(
-        "nvme_ssd_config is deprecated; name the device instead — "
-        "repro.api.Testbed(device='intel750') or "
-        "repro.ssd.registry.resolve_config('intel750')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return build_nvme_preset(**overrides)

@@ -61,7 +61,7 @@ class JobResult:
         :class:`~repro.obs.core.Observability`); ``op`` filters to
         ``"read"`` / ``"write"``.
         """
-        if self.obs is None or not getattr(self.obs, "enabled", False):
+        if self.obs is None or not self.obs.enabled:
             return None
         from repro.obs.anatomy import AnatomyReport
 
@@ -80,7 +80,7 @@ def run_jobs(
     device at the same time, each from its own stack (its own core and
     queue pair).  Returns one :class:`JobResult` per pair, in order.
     """
-    obs = sim.obs if getattr(sim.obs, "enabled", False) else None
+    obs = sim.obs if sim.obs.enabled else None
     prepared: List[Tuple[Any, FioJob, MetricsCollector, Any]] = []
     for stack, job in pairs:
         device = stack.device
@@ -156,7 +156,7 @@ def run_job(
         seed=job.seed,
         region_offset=region_offset,
     )
-    obs = sim.obs if getattr(sim.obs, "enabled", False) else None
+    obs = sim.obs if sim.obs.enabled else None
     metrics = MetricsCollector(
         capture_timeseries=job.capture_timeseries,
         capture_trace=job.capture_trace,

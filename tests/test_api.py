@@ -157,65 +157,3 @@ class TestNamedDevices:
             device="qlc", config_overrides=(("overprovision", 0.4),)
         ).device_config()
         assert tweaked.overprovision == 0.4
-
-    def test_preset_config_shims_warn(self):
-        from repro.ssd.presets import (
-            build_nvme_preset,
-            build_ull_preset,
-            nvme_ssd_config,
-            ull_ssd_config,
-        )
-
-        with pytest.warns(DeprecationWarning, match="zssd"):
-            assert ull_ssd_config() == build_ull_preset()
-        with pytest.warns(DeprecationWarning, match="intel750"):
-            assert nvme_ssd_config() == build_nvme_preset()
-
-    def test_shims_still_honor_overrides(self):
-        from repro.ssd.presets import ull_ssd_config
-
-        with pytest.warns(DeprecationWarning):
-            config = ull_ssd_config(write_buffer_units=64)
-        assert config.write_buffer_units == 64
-
-
-class TestFacadeParity:
-    """The facade reproduces the historical helpers bit for bit."""
-
-    def test_sync_parity_with_legacy_helper(self):
-        with pytest.warns(DeprecationWarning):
-            from repro.core.experiment import run_sync_job
-
-            legacy = run_sync_job(DeviceKind.ULL, "randread", io_count=130)
-        facade = Testbed(
-            device="ull", device_seed=42, stack_seed=42
-        ).run_job(JobConfig(rw="randread", engine="psync", io_count=130, seed=42))
-        assert legacy.latency.mean_ns == facade.latency.mean_ns
-        assert legacy.latency.p99999_ns == facade.latency.p99999_ns
-        assert legacy.duration_ns == facade.duration_ns
-
-    def test_async_parity_with_legacy_helper(self):
-        with pytest.warns(DeprecationWarning):
-            from repro.core.experiment import run_async_job
-
-            legacy = run_async_job(
-                DeviceKind.NVME, "randread", iodepth=8, io_count=200
-            )
-        facade = Testbed(device="nvme", device_seed=42, stack_seed=11).run_job(
-            JobConfig(rw="randread", engine="libaio", iodepth=8,
-                      io_count=200, seed=42)
-        )
-        assert legacy.latency.mean_ns == facade.latency.mean_ns
-        assert legacy.duration_ns == facade.duration_ns
-
-    def test_spdk_parity_with_legacy_helper(self):
-        with pytest.warns(DeprecationWarning):
-            from repro.core.experiment import run_sync_job
-
-            legacy = run_sync_job(
-                DeviceKind.ULL, "read", io_count=130, stack=StackKind.SPDK
-            )
-        facade = Testbed(
-            device="ull", stack="spdk", device_seed=42, stack_seed=42
-        ).run_job(JobConfig(rw="read", engine="psync", io_count=130, seed=42))
-        assert legacy.latency.mean_ns == facade.latency.mean_ns

@@ -39,6 +39,18 @@ class TestScaling:
         kwargs = _scaled_kwargs("fig10", 2.0)
         assert kwargs["io_count"] == 4000
 
+    @pytest.mark.parametrize(
+        "command", ["figures", "sweep", "trace", "blame", "profile", "perf"]
+    )
+    @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf", "big"])
+    def test_bad_scale_exits_2(self, capsys, command, scale):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "fig04a", "--scale", scale])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --scale: expected a positive number, got '{scale}'" in err
+        assert "Traceback" not in err
+
     def test_scale_one_is_default(self):
         assert _scaled_kwargs("fig10", 1.0) == {}
 
@@ -215,9 +227,19 @@ class TestFaultFlags:
         ) == 0
         assert active_plan() is None
 
-    def test_bad_fault_spec_raises(self):
-        with pytest.raises(ValueError, match="unknown fault layer"):
-            main(["figures", "table1", "--faults", "bogus.x=1"])
+    def test_bad_fault_spec_raises(self, capsys):
+        # Exit 2 with one clean line — never a traceback — for an unknown
+        # layer and for a probability outside [0, 1] alike.
+        for spec, message in (
+            ("bogus.x=1", "unknown fault layer 'bogus'"),
+            ("nand.read_fail_prob=2", "nand.read_fail_prob=2.0 is not a probability"),
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["figures", "table1", "--faults", spec])
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert err.startswith("fault spec error: ") and message in err
 
 
 class TestProfileSubcommand:

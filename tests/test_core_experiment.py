@@ -1,7 +1,5 @@
 """Tests for the experiment harness (build helpers + api facade)."""
 
-import pytest
-
 from repro.api import JobConfig, Testbed
 from repro.core.experiment import (
     DeviceKind,
@@ -137,31 +135,3 @@ class TestHeadlineNumbers:
         ratio = nvme.latency.mean_ns / ull.latency.mean_ns
         assert 3.5 < ratio < 7.0  # paper: 5.2x
 
-
-class TestDeprecatedShims:
-    """The legacy helpers still work, warn, and match the facade exactly."""
-
-    def test_run_sync_job_warns_and_matches_facade(self):
-        from repro.core.experiment import run_sync_job
-
-        with pytest.warns(DeprecationWarning, match="run_sync_job"):
-            legacy = run_sync_job(DeviceKind.ULL, "randread", io_count=120)
-        direct = sync_job(DeviceKind.ULL, "randread", io_count=120)
-        assert legacy.latency.mean_ns == direct.latency.mean_ns
-        assert legacy.latency.p99999_ns == direct.latency.p99999_ns
-        assert legacy.duration_ns == direct.duration_ns
-
-    def test_run_async_job_warns_and_matches_facade(self):
-        from repro.core.experiment import run_async_job
-
-        with pytest.warns(DeprecationWarning, match="run_async_job"):
-            legacy, legacy_dev = run_async_job(
-                DeviceKind.ULL, "randread", iodepth=4, io_count=150,
-                want_device=True,
-            )
-        direct, direct_dev = async_job(
-            DeviceKind.ULL, "randread", iodepth=4, io_count=150,
-            want_device=True,
-        )
-        assert legacy.latency.mean_ns == direct.latency.mean_ns
-        assert legacy_dev.completed_reads == direct_dev.completed_reads

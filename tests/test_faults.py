@@ -80,6 +80,24 @@ class TestFaultPlan:
             parse_fault_spec(["disk.fail=1"])
         with pytest.raises(ValueError, match="unknown fault field"):
             parse_fault_spec(["nand.explode_prob=1"])
+        with pytest.raises(ValueError, match="needs a number"):
+            parse_fault_spec(["nand.read_fail_prob=often"])
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["nand.read_fail_prob=2", "nand.program_fail_prob=-0.1",
+         "nvme.timeout_prob=1.5", "kstack.requeue_prob=nan",
+         "net.drop_prob=inf"],
+    )
+    def test_probabilities_outside_unit_interval_rejected(self, spec):
+        with pytest.raises(ValueError, match="not a probability in \\[0, 1\\]"):
+            parse_fault_spec([spec])
+
+    def test_probability_bounds_are_inclusive(self):
+        plan = parse_fault_spec(["nand.read_fail_prob=1", "net.drop_prob=0"])
+        assert plan.nand.read_fail_prob == 1.0
+        with pytest.raises(ValueError, match="kstack.requeue_prob"):
+            KstackFaults(requeue_prob=1.01)
 
 
 class TestZeroFaultIdentity:

@@ -215,11 +215,6 @@ class TestTelemetryRecorder:
         assert sorted(series.pid for series in parent) == [1, 2, 3]
         assert parent.current_pid == 3
 
-    def test_config_params_round_trip(self):
-        config = TelemetryConfig(period_ns=5000, capacity=64, series=("a", "b"))
-        clone = TelemetryConfig.from_params(config.to_params())
-        assert clone.to_params() == config.to_params()
-
 
 # ----------------------------------------------------------------------
 # Cache-key folding

@@ -1,8 +1,7 @@
 """Behavioral tests of the two device presets (paper Section III-B).
 
-The presets are exercised through the registry (``"ull"``/``"nvme"``) —
-the same configs the deprecated preset shims return (shim warning
-behavior is covered in test_api.py).
+The presets are exercised through the registry (``"ull"``/``"nvme"``),
+which builds them with ``build_ull_preset``/``build_nvme_preset``.
 """
 
 import pytest
