@@ -275,8 +275,9 @@ class SweepCache:
     """Pickle-per-measurement cache under a root directory.
 
     Layout: ``<root>/<hash[:2]>/<hash>.pkl``.  Reads tolerate missing or
-    corrupt files (a miss); writes are atomic (temp file + rename) so
-    parallel runs never observe torn entries.
+    corrupt files (a miss): any error while unpickling, or an entry that
+    is not a :class:`Measurement`; writes are atomic (temp file + rename)
+    so parallel runs never observe torn entries.
     """
 
     def __init__(self, root) -> None:
@@ -288,9 +289,10 @@ class SweepCache:
     def get(self, key: str) -> Optional[Measurement]:
         try:
             with open(self._path(key), "rb") as fh:
-                return pickle.load(fh)
-        except (OSError, EOFError, pickle.PickleError, AttributeError, ImportError):
+                entry = pickle.load(fh)
+        except Exception:  # a corrupt pickle can raise nearly anything
             return None
+        return entry if isinstance(entry, Measurement) else None
 
     def put(self, key: str, measurement: Measurement) -> None:
         path = self._path(key)

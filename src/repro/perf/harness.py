@@ -6,8 +6,9 @@ the figures themselves.  :class:`PerfSession` times each benchmark
 figure (wall seconds, sim events, sweep-engine cache state) and
 aggregates the records into a ``BENCH_<date>.json`` document; `compare
 <compare_docs>` diffs two documents and flags figures whose wall time
-regressed past a configurable threshold, which is what the CI
-``perf-smoke`` job and ``python -m repro perf --compare`` gate on.
+regressed past a configurable threshold or whose sim-event count changed
+at all, which is what the CI ``perf-smoke`` job and ``python -m repro
+perf --compare`` gate on.
 
 Cache state matters when comparing: a warm-cache run executes zero
 simulations and its wall time says nothing about simulator throughput,
@@ -214,7 +215,7 @@ def load_bench(path: Union[str, Path]) -> dict:
 @dataclass
 class CompareRow:
     figure_id: str
-    status: str  # ok | slower | faster | incomparable | added | removed
+    status: str  # ok | slower | faster | events-changed | incomparable | added | removed
     old_wall_s: Optional[float] = None
     new_wall_s: Optional[float] = None
     old_events_per_s: Optional[float] = None
@@ -248,7 +249,7 @@ class Comparison:
 
     @property
     def regressions(self) -> List[CompareRow]:
-        return [row for row in self.rows if row.status == "slower"]
+        return [row for row in self.rows if row.status in ("slower", "events-changed")]
 
     @property
     def ok(self) -> bool:
@@ -282,10 +283,9 @@ class Comparison:
                 f"{row.figure_id:<22} {old_w:>9} {new_w:>9} {ratio:>7} "
                 f"{old_e:>10} {new_e:>10} {delta_s:>7}  {status}"
             )
-        slower = len(self.regressions)
         lines.append(
-            f"-- {slower} regression(s) past the "
-            f"{self.threshold:.0%} slowdown threshold"
+            f"-- {len(self.regressions)} regression(s): past the "
+            f"{self.threshold:.0%} slowdown threshold or changed sim events"
         )
         for row in self.rows:
             if not (row.top_hotspot or row.old_top_hotspot):
@@ -316,12 +316,16 @@ def compare_docs(
 ) -> Comparison:
     """Diff two bench documents figure-by-figure.
 
-    A figure gates (``slower``) only when it appears in both documents
-    with the *same cache state* and its new wall time exceeds
-    ``(1 + threshold)`` times the old; mismatched cache states are
-    reported ``incomparable`` instead of producing a bogus verdict.
+    A figure gates only when it appears in both documents with the
+    *same cache state*: as ``events-changed`` when both documents were
+    run at the same ``scale`` and its sim-event counts differ (an exact
+    check, free of runner noise), otherwise as ``slower`` when its new
+    wall time exceeds ``(1 + threshold)`` times the old.  Mismatched
+    cache states are reported ``incomparable`` instead of producing a
+    bogus verdict.
     """
     comparison = Comparison(threshold=threshold)
+    same_scale = old_doc.get("scale") == new_doc.get("scale")
     old_figures = old_doc.get("figures", {})
     new_figures = new_doc.get("figures", {})
     for figure_id in sorted(set(old_figures) | set(new_figures)):
@@ -365,6 +369,9 @@ def compare_docs(
         if old_rec.cache != new_rec.cache:
             row.status = "incomparable"
             row.note = f"cache {old_rec.cache} vs {new_rec.cache}"
+        elif same_scale and old_rec.sim_events != new_rec.sim_events:
+            row.status = "events-changed"
+            row.note = f"{old_rec.sim_events:,} -> {new_rec.sim_events:,} events"
         elif old_rec.wall_s > 0 and row.ratio > 1.0 + threshold:
             row.status = "slower"
             row.note = f"+{(row.ratio - 1.0):.0%}"

@@ -1,36 +1,17 @@
 """The simulation engine: a clock and a time-ordered callback queue.
 
-Time is measured in integer nanoseconds.  Callbacks scheduled for the same
-instant run in FIFO order, which makes simulations deterministic.
-
-The queue is a *calendar of same-tick buckets*: every distinct timestamp
-owns one FIFO list of callbacks, and a small binary heap indexes only the
-distinct timestamps (the heap doubles as the overflow path for far-future
-events — a tick is pushed once no matter how many callbacks pile onto
-it).  Dispatch drains a whole bucket as one batch without re-sifting the
-heap between same-tick callbacks, and callbacks scheduled *for the
-current instant while it is being drained* are appended straight onto the
-live batch — the microtask ring that lets zero-delay process trampolines
-resume without a heap round-trip.  The dispatch order is provably
-identical to the classic single-heap engine (see
-``tests/test_sim_queue_fuzz.py`` for the differential harness and
-``docs/sim-engine.md`` for the invariants).
+Time is measured in integer nanoseconds.  The queue is one binary heap
+of ``(when, seq, callback, args)`` entries: a per-entry sequence number
+breaks ties, so callbacks scheduled for the same instant run in FIFO
+order, which makes simulations deterministic.  ``docs/sim-engine.md``
+records the invariants and the measured traffic that keeps this queue
+plain.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.obs.core import current_obs
 from repro.sim import sanitize
@@ -45,16 +26,12 @@ if TYPE_CHECKING:
 #: Process-wide count of executed callbacks, across every simulator ever
 #: run in this process.  The perf harness reads deltas of this to report
 #: sim-events/second per benchmark figure (meaningful under serial
-#: execution; worker processes keep their own counts).  Every drained
-#: callback counts — including same-tick batch entries and microtask-ring
-#: appends — so the count is identical to what the pre-calendar single
-#: heap engine reported.
+#: execution; worker processes keep their own counts).  Every dispatched
+#: callback counts once, whether ``step()`` or ``run()`` popped it.
 events_executed_total = 0
 
-#: One queued callback: ``(callback, args)``.  Timestamps live on the
-#: bucket, not the entry, and FIFO order within a bucket is list order —
-#: no per-entry sequence number is needed.
-_Entry = Tuple[Callable, Tuple[Any, ...]]
+#: One queued callback: ``(when, seq, callback, args)``.
+_Entry = Tuple[int, int, Callable, Tuple[Any, ...]]
 
 
 class Simulator:
@@ -69,17 +46,9 @@ class Simulator:
 
     def __init__(self, obs: "Optional[Observability]" = None) -> None:
         self.now: int = 0
-        #: Calendar buckets: distinct tick -> FIFO batch of entries.
-        self._buckets: Dict[int, List[_Entry]] = {}
-        #: Min-heap over the distinct ticks present in ``_buckets``.
-        self._ticks: List[int] = []
-        #: The batch being drained (its tick is ``now``); same-instant
-        #: schedules land here — the microtask ring.
-        self._batch: Optional[List[_Entry]] = None
-        self._batch_pos: int = 0
-        #: Exact number of queued-but-not-yet-dispatched callbacks,
-        #: including the un-drained remainder of the current batch.
-        self._pending: int = 0
+        #: Min-heap of queued callbacks, ordered by ``(when, seq)``.
+        self._queue: List[_Entry] = []
+        self._seq: int = 0
         #: Sampled at construction so one test can run sanitized next to
         #: an unsanitized neighbour (see :mod:`repro.sim.sanitize`).
         self.sanitize: bool = sanitize.enabled()
@@ -104,21 +73,10 @@ class Simulator:
         now = self.now
         if when < now:
             raise ValueError(f"cannot schedule in the past: {when} < {now}")
-        if when == now and self._batch is not None:
-            # Microtask ring: the current instant is being drained, so
-            # the entry joins the live batch — FIFO position identical
-            # to what a heap push with the next sequence number gives.
-            self._batch.append((callback, args))
-        else:
-            bucket = self._buckets.get(when)
-            if bucket is None:
-                self._buckets[when] = [(callback, args)]
-                heapq.heappush(self._ticks, when)
-            else:
-                bucket.append((callback, args))
-        self._pending += 1
+        self._seq += 1
+        heapq.heappush(self._queue, (when, self._seq, callback, args))
         if self._prof is not None:
-            self._prof.note_insert(now, when, self._pending)
+            self._prof.note_insert(now, when, len(self._queue))
 
     def post(self, callback: Callable, *args: Any) -> None:
         """Run ``callback(*args)`` at the current instant, after
@@ -127,20 +85,11 @@ class Simulator:
         Equivalent to ``schedule(0, ...)`` but skips the timestamp
         arithmetic; process trampolines resume through this path.
         """
-        batch = self._batch
-        if batch is not None:
-            batch.append((callback, args))
-        else:
-            now = self.now
-            bucket = self._buckets.get(now)
-            if bucket is None:
-                self._buckets[now] = [(callback, args)]
-                heapq.heappush(self._ticks, now)
-            else:
-                bucket.append((callback, args))
-        self._pending += 1
+        now = self.now
+        self._seq += 1
+        heapq.heappush(self._queue, (now, self._seq, callback, args))
         if self._prof is not None:
-            self._prof.note_insert(self.now, self.now, self._pending)
+            self._prof.note_insert(now, now, len(self._queue))
 
     # ------------------------------------------------------------------
     # Event/process factories
@@ -169,110 +118,61 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _advance(self) -> bool:
-        """Load the earliest bucket as the current batch.  False if none."""
-        if not self._ticks:
-            self._batch = None
-            return False
-        when = heapq.heappop(self._ticks)
-        if self.sanitize:
-            sanitize.check_clock(self.now, when)
-        self.now = when
-        self._batch = self._buckets.pop(when)
-        self._batch_pos = 0
-        return True
-
     def step(self) -> bool:
         """Run the next scheduled callback.  Returns False if none remain."""
         global events_executed_total
-        batch = self._batch
-        if batch is None or self._batch_pos >= len(batch):
-            if not self._advance():
-                return False
-            batch = self._batch
-        pos = self._batch_pos
-        self._batch_pos = pos + 1
-        callback, args = batch[pos]  # type: ignore[index]
-        self._pending -= 1
+        queue = self._queue
+        if not queue:
+            return False
+        when, _seq, callback, args = heapq.heappop(queue)
+        if self.sanitize:
+            sanitize.check_clock(self.now, when)
+        self.now = when
         events_executed_total += 1
         prof = self._prof
         if prof is None:
             callback(*args)
         else:
-            prof.dispatch(self.now, callback, args, self._pending)
+            prof.dispatch(when, callback, args, len(queue))
         return True
 
     def run(self, until: Optional[int] = None) -> None:
         """Run until the queue drains or the clock would pass ``until``.
 
-        With ``until`` given, the clock is advanced to exactly ``until``
-        when the simulation outlives it (pending later callbacks remain
-        queued and can be resumed by a further ``run`` call).  A bucket
-        whose tick is ``<= until`` is always drained whole — same-tick
-        callbacks never straddle the boundary.
+        With ``until`` given, every callback due at or before ``until``
+        runs — including ones posted at ``until`` while it is being
+        drained — and the clock then lands exactly on ``until`` (later
+        callbacks stay queued for a further ``run`` call).
         """
         global events_executed_total
         if until is not None:
             until = int(until)
             if until < self.now:
                 raise ValueError(f"cannot run backwards: {until} < {self.now}")
+        queue = self._queue
         prof = self._prof
-        ticks = self._ticks
-        buckets = self._buckets
-        while True:
-            batch = self._batch
-            if batch is not None:
-                # Drain the whole same-tick batch without touching the
-                # heap; the len() is re-read every lap because microtask
-                # appends grow the batch under our feet.
-                now = self.now
-                pos = self._batch_pos
-                while pos < len(batch):
-                    callback, args = batch[pos]
-                    pos += 1
-                    self._batch_pos = pos
-                    self._pending -= 1
-                    events_executed_total += 1
-                    if prof is None:
-                        callback(*args)
-                    else:
-                        prof.dispatch(now, callback, args, self._pending)
-                self._batch = None
-            if not ticks:
+        pop = heapq.heappop
+        while queue:
+            if until is not None and queue[0][0] > until:
                 break
-            when = ticks[0]
-            if until is not None and when > until:
-                break
-            heapq.heappop(ticks)
+            when, _seq, callback, args = pop(queue)
             if self.sanitize:
                 sanitize.check_clock(self.now, when)
             self.now = when
-            self._batch = buckets.pop(when)
-            self._batch_pos = 0
+            events_executed_total += 1
+            if prof is None:
+                callback(*args)
+            else:
+                prof.dispatch(when, callback, args, len(queue))
         if until is not None and until > self.now:
             self.now = until
 
-    def run_until_event(self, event: Event, limit: Optional[int] = None) -> None:
-        """Run until ``event`` triggers (or the queue drains / limit hits)."""
-        while not event.triggered:
-            if limit is not None:
-                when = self.peek()
-                if when is not None and when > limit:
-                    break
-            if not self.step():
-                break
-
-    def peek(self) -> Optional[int]:
-        """Timestamp of the next callback to run, or ``None`` if drained."""
-        batch = self._batch
-        if batch is not None and self._batch_pos < len(batch):
-            return self.now
-        if self._ticks:
-            return self._ticks[0]
-        return None
+    def run_until_event(self, event: Event) -> None:
+        """Run until ``event`` triggers or the queue drains."""
+        while not event.triggered and self.step():
+            pass
 
     @property
     def pending_count(self) -> int:
-        """Number of callbacks still queued (microtask-ring entries and
-        the un-drained remainder of the current batch included)."""
-        return self._pending
+        """Number of callbacks still queued."""
+        return len(self._queue)

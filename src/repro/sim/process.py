@@ -102,8 +102,7 @@ class Process(Event):
         self._waiting_on = target
         if target.triggered:
             # Flatten recursion: a ready event resumes us as a same-tick
-            # microtask instead of recursing synchronously — and, since
-            # PR 7, without a heap round-trip.
+            # post() instead of recursing synchronously.
             self.sim.post(self._on_event, target)
         else:
             target.add_callback(self._on_event)

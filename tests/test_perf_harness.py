@@ -136,6 +136,7 @@ class TestCompare:
             "slow": (10.0, 100, 2, 2),
             "fast": (10.0, 100, 2, 2),
             "cachemix": (10.0, 100, 2, 2),
+            "events": (10.0, 100, 2, 2),
             "gone": (10.0, 100, 2, 2),
         })
         new = make_doc({
@@ -143,6 +144,7 @@ class TestCompare:
             "slow": (15.0, 100, 2, 2),
             "fast": (5.0, 100, 2, 2),
             "cachemix": (1.0, 100, 2, 0),  # warm now
+            "events": (10.0, 101, 2, 2),  # same wall, one more sim event
             "fresh": (3.0, 100, 2, 2),
         })
         comparison = compare_docs(old, new, threshold=0.30)
@@ -152,11 +154,12 @@ class TestCompare:
             "slow": "slower",
             "fast": "faster",
             "cachemix": "incomparable",
+            "events": "events-changed",
             "gone": "removed",
             "fresh": "added",
         }
         assert not comparison.ok
-        assert [row.figure_id for row in comparison.regressions] == ["slow"]
+        assert [row.figure_id for row in comparison.regressions] == ["events", "slow"]
 
     def test_threshold_is_configurable(self):
         old = make_doc({"f": (10.0, 100, 1, 1)})

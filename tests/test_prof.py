@@ -157,10 +157,10 @@ class TestToySimulation:
         def sleeper():
             ready = sim.event()
             ready.succeed()
-            yield ready  # resume rides the microtask ring
+            yield ready  # the resume is queued through post()
 
-        # The interrupt lands between the yield and the queued microtask
-        # (same instant), so the ring entry fires against a process that
+        # The interrupt lands between the yield and the queued resume
+        # (same instant), so the resume fires against a process that
         # already moved on — the one stale path detach cannot remove.
         victim = sim.process(sleeper())
         sim.schedule(0, victim.interrupt)

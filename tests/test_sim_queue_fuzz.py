@@ -1,16 +1,20 @@
-"""Differential-ordering harness for the calendar event queue.
+"""Differential-ordering harness for the simulator's event queue.
 
-The calendar/bucket queue in :mod:`repro.sim.engine` claims dispatch
-order *identical* to the classic single-heap engine it replaced (one
-``heapq`` of ``(when, seq, callback)`` entries).  These tests check the
-claim mechanically: seeded random workloads — nested schedules,
-same-tick storms, zero-delay microtask chains — run through both the
-real simulator and :class:`ReferenceHeapEngine`, and the full
-``(time, label)`` dispatch transcripts must match exactly.
+:mod:`repro.sim.engine` promises one dispatch order: time order, FIFO
+within an instant, and ``run(until)`` landing the clock on ``until``.
+These tests check the promise mechanically against
+:class:`ReferenceHeapEngine`, the simplest possible implementation of
+that contract: seeded random workloads — nested schedules, same-tick
+storms, zero-delay ``post`` chains — run through both engines, and the
+full ``(time, label)`` dispatch transcripts must match exactly.  The
+simulator under test runs in three variants — plain, profiled (every
+callback goes through the profiler's ``dispatch`` hook) and sanitized
+(``REPRO_SIM_SANITIZE=1``) — so each dispatch branch of ``step()`` and
+``run()`` is held to the reference.
 
-The boundary tests pin ``run(until=)`` / ``run_until_event`` behavior at
-bucket edges: a bucket whose tick is ``<= until`` drains whole (same
-tick never straddles the boundary), and the clock lands exactly on
+The boundary tests pin ``run(until=)`` / ``run_until_event`` behavior
+at the cut: every callback due at or before ``until`` runs (same-instant
+callbacks never straddle the boundary), and the clock lands exactly on
 ``until`` when the simulation outlives it.
 """
 
@@ -19,15 +23,17 @@ import random
 
 import pytest
 
+from repro.obs.core import Observability
+from repro.sim import sanitize
 from repro.sim.engine import Simulator
 
 
 class ReferenceHeapEngine:
-    """The pre-calendar engine: one heap, per-entry sequence numbers.
+    """The ordering oracle: one heap, per-entry sequence numbers.
 
-    Kept as the ordering oracle — intentionally the simplest possible
-    implementation of the documented contract (time order, FIFO within
-    an instant, ``run(until)`` advances the clock to ``until``).
+    Intentionally the simplest possible implementation of the documented
+    contract (time order, FIFO within an instant, ``run(until)``
+    advances the clock to ``until``).
     """
 
     def __init__(self):
@@ -105,9 +111,39 @@ class ScriptedWorkload:
             self._spawn(self.rng.choice(self.DELAYS))
 
 
-def transcripts(seed, budget=400, until=None):
+#: The simulator configurations held to the reference engine.
+VARIANTS = ("plain", "profiled", "sanitized")
+
+
+def variant_cases(seeds):
+    """``(variant, seed)`` cases; the plain simulator keeps the bare seed id."""
+    return [
+        pytest.param(variant, seed, id=str(seed) if variant == "plain" else f"{variant}-{seed}")
+        for variant in VARIANTS
+        for seed in seeds
+    ]
+
+
+def make_sim(variant, monkeypatch):
+    """A fresh simulator whose dispatch takes the ``variant`` branch."""
+    if variant == "profiled":
+        return Simulator(obs=Observability(tracing=False, metrics=False, profile=True))
+    if variant == "sanitized":
+        monkeypatch.setenv(sanitize.ENV_VAR, "1")
+    return Simulator()
+
+
+def check_variant(sim, variant, log):
+    """The variant really took its branch for every dispatched callback."""
+    if variant == "profiled":
+        assert sim.obs.profiler.dispatches == len(log)
+    if variant == "sanitized":
+        assert sim.sanitize
+
+
+def transcripts(seed, budget=400, until=None, sim=None):
     runs = []
-    for engine in (Simulator(), ReferenceHeapEngine()):
+    for engine in (sim if sim is not None else Simulator(), ReferenceHeapEngine()):
         workload = ScriptedWorkload(engine, seed, budget)
         workload.seed_initial()
         engine.run(until=until)
@@ -115,35 +151,40 @@ def transcripts(seed, budget=400, until=None):
     return runs
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_fuzzed_dispatch_order_matches_reference(seed):
-    (calendar_log, calendar_now), (heap_log, heap_now) = transcripts(seed)
-    assert calendar_log == heap_log
-    assert calendar_now == heap_now
-    assert len(calendar_log) >= 12  # the workload actually ran
+@pytest.mark.parametrize("variant, seed", variant_cases(range(10)))
+def test_fuzzed_dispatch_order_matches_reference(variant, seed, monkeypatch):
+    sim = make_sim(variant, monkeypatch)
+    (sim_log, sim_now), (heap_log, heap_now) = transcripts(seed, sim=sim)
+    assert sim_log == heap_log
+    assert sim_now == heap_now
+    assert len(sim_log) >= 12  # the workload actually ran
+    check_variant(sim, variant, sim_log)
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_fuzzed_run_until_matches_reference(seed):
+@pytest.mark.parametrize("variant, seed", variant_cases(range(5)))
+def test_fuzzed_run_until_matches_reference(variant, seed, monkeypatch):
     # Stop mid-simulation, then resume: both cuts must agree.
-    (cal_log, cal_now), (heap_log, heap_now) = transcripts(seed, until=40)
-    assert cal_log == heap_log
-    assert cal_now == heap_now == 40
+    sim = make_sim(variant, monkeypatch)
+    (sim_log, sim_now), (heap_log, heap_now) = transcripts(seed, until=40, sim=sim)
+    assert sim_log == heap_log
+    assert sim_now == heap_now == 40
+    check_variant(sim, variant, sim_log)
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_fuzzed_step_interleaving_matches_run(seed):
-    stepped = Simulator()
+@pytest.mark.parametrize("variant, seed", variant_cases(range(5)))
+def test_fuzzed_step_interleaving_matches_run(variant, seed, monkeypatch):
+    stepped = make_sim(variant, monkeypatch)
     workload = ScriptedWorkload(stepped, seed)
     workload.seed_initial()
     while stepped.step():
         pass
     (run_log, _), _ = transcripts(seed)
     assert workload.log == run_log
+    check_variant(stepped, variant, workload.log)
 
 
 # ----------------------------------------------------------------------
-# Bucket-edge boundaries
+# run(until=) / run_until_event boundaries
 # ----------------------------------------------------------------------
 class TestRunUntilBoundaries:
     def test_bucket_at_until_drains_whole(self):
@@ -166,7 +207,7 @@ class TestRunUntilBoundaries:
 
         def head():
             fired.append("head")
-            sim.post(tail)  # joins the live batch at t == until
+            sim.post(tail)  # queued at t == until while it drains
 
         sim.schedule(10, head)
         sim.run(until=10)
@@ -200,19 +241,21 @@ class TestRunUntilBoundaries:
         with pytest.raises(ValueError):
             sim.run(until=5)
 
-    def test_run_until_event_limit_at_bucket_edge(self):
+    def test_run_until_event_stops_at_trigger(self):
         sim = Simulator()
         target = sim.event()
         sim.schedule(10, lambda: None)
         sim.schedule(20, target.succeed)
-        # Limit sits exactly on the pre-target bucket: it runs, the
-        # target's bucket (at 20 > 15) does not.
-        sim.run_until_event(target, limit=15)
+        sim.schedule(30, lambda: None)
+        # A cut before the target leaves it pending.
+        sim.run(until=15)
         assert not target.triggered
-        assert sim.now == 10
+        assert sim.now == 15
+        # The target's callback is the last one run; later ones stay queued.
         sim.run_until_event(target)
         assert target.triggered
         assert sim.now == 20
+        assert sim.pending_count == 1
 
 
 class TestPendingCount:
@@ -229,7 +272,7 @@ class TestPendingCount:
         sim.schedule(5, lambda: None)
         assert sim.pending_count == 2
         sim.run()
-        # Inside head: the two ring entries plus the t=5 callback.
+        # Inside head: the two posted entries plus the t=5 callback.
         assert seen == [3]
         assert sim.pending_count == 0
 
@@ -238,7 +281,7 @@ class TestPendingCount:
         for _ in range(4):
             sim.schedule(10, lambda: None)
         assert sim.pending_count == 4
-        assert sim.step()  # dispatches one entry of the t=10 batch
+        assert sim.step()  # dispatches one of the four t=10 entries
         assert sim.pending_count == 3
         sim.run()
         assert sim.pending_count == 0

@@ -158,6 +158,27 @@ class TestPersistentCache:
         fresh.run(_spec([point]))
         assert fresh.stats.executed == 1
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"\x80\x09",  # unsupported protocol: ValueError
+            b"\x80\x05\x96\x81\xf7,\xc5(&g\x94%",  # huge BYTEARRAY8: OverflowError
+            b"\x80\x04K\x01.",  # a valid pickle of the int 1
+        ],
+        ids=["bad-protocol", "overflow", "not-a-measurement"],
+    )
+    def test_undecodable_entry_is_a_miss(self, tmp_path, payload):
+        point = sync_point("ull", "randread", io_count=40)
+        cache = SweepCache(tmp_path)
+        engine = _fresh_engine(cache=cache)
+        engine.run(_spec([point]))
+        key = point_cache_key(point)
+        cache._path(key).write_bytes(payload)
+        assert cache.get(key) is None
+        fresh = _fresh_engine(cache=cache)
+        fresh.run(_spec([point]))
+        assert fresh.stats.executed == 1
+
     def test_cost_change_invalidates(self, tmp_path, monkeypatch):
         point = sync_point("ull", "randread", io_count=40)
         cache = SweepCache(tmp_path)
