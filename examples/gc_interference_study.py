@@ -15,15 +15,7 @@ Two experiments from the paper's Section IV-D:
 Run:  python examples/gc_interference_study.py
 """
 
-from repro import (
-    DeviceKind,
-    FioJob,
-    IoEngineKind,
-    Simulator,
-    build_device,
-    build_stack,
-    run_job,
-)
+from repro import DeviceKind, FioJob, IoEngineKind, Simulator, run_job
 from repro.api import JobConfig, Testbed
 
 
@@ -46,8 +38,7 @@ def interference() -> None:
 
 def garbage_collection(kind: DeviceKind, io_count: int) -> None:
     sim = Simulator()
-    device = build_device(sim, kind)  # preconditioned full
-    stack = build_stack(sim, device)
+    device, stack = Testbed(device=kind).build(sim)  # preconditioned full
     job = FioJob(
         name="overwrite", rw="randwrite", engine=IoEngineKind.PSYNC,
         io_count=io_count, capture_timeseries=True,

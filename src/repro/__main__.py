@@ -315,7 +315,7 @@ def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         help=(
             "run every figure against this device instead of the "
-            "paper's presets: a registry name (see `python -m repro "
+            "paper's ull/nvme: a registry name (see `python -m repro "
             "devices list`) or a .toml/.json spec file"
         ),
     )
@@ -946,12 +946,13 @@ def _cmd_profile(parser, args) -> int:
 def _cmd_devices(argv) -> int:
     """``python -m repro devices list|show NAME [--format toml|json]``."""
     from repro.ssd.registry import (
-        PRESET_NAMES,
+        DEVICE_ALIASES,
         get_spec,
         list_devices,
-        load_device_spec,
+        resolve_config,
         resolve_spec,
     )
+    from repro.ssd.spec import spec_from_config
 
     parser = argparse.ArgumentParser(
         prog="python -m repro devices",
@@ -973,26 +974,20 @@ def _cmd_devices(argv) -> int:
 
     if args.action == "list":
         names = list_devices()
-        width = max(len(n) for n in names + PRESET_NAMES)
+        width = max(len(n) for n in names + tuple(DEVICE_ALIASES))
         for name in names:
             spec = get_spec(name)
             print(f"{name:{width}s}  {spec.label}")
-        for name in PRESET_NAMES:
-            twin = "zssd" if name == "ull" else "intel750"
+        for name, twin in DEVICE_ALIASES.items():
             print(
                 f"{name:{width}s}  (preset alias; spec twin: {twin})"
             )
         return 0
 
     name = args.name
-    if name in PRESET_NAMES:
-        # Present the preset through its generated spec twin.
-        from repro.ssd.registry import resolve_config
-        from repro.ssd.spec import spec_from_config
-
+    if name in DEVICE_ALIASES:
+        # An alias is shown under its own name, as its resolved config.
         spec = spec_from_config(resolve_config(name), name=name)
-    elif "/" in name or name.endswith((".toml", ".json")):
-        spec = load_device_spec(name)
     else:
         spec = resolve_spec(name)
     if args.format == "json":

@@ -1,9 +1,7 @@
 """The stable public facade: build a testbed, describe a job, run it.
 
 This module is the supported way to construct and drive the simulated
-I/O stack.  It consolidates the construction keywords that used to be
-re-plumbed through ``core/experiment.py``, ``core/runners.py``, and the
-figure modules into two frozen dataclasses:
+I/O stack, through two frozen dataclasses:
 
 * :class:`Testbed` — *what hardware and host path*: a **named device**
   (registry name like ``"zssd"``, spec-file path, live
@@ -26,9 +24,9 @@ Typical use::
 ``device`` accepts, in one argument:
 
 * a registry name from :func:`list_devices` (``"zssd"``,
-  ``"intel750"``, ``"qlc"``, ...) or a preset alias (``"ull"``,
-  ``"nvme"`` — the paper's two devices built by the hand-wired
-  presets);
+  ``"intel750"``, ``"qlc"``, ...) or an alias (``"ull"``/``"nvme"``,
+  the paper's names for its two devices; see
+  :data:`~repro.ssd.registry.DEVICE_ALIASES`);
 * a path to a ``.toml``/``.json`` spec file
   (:func:`load_device_spec` loads one explicitly);
 * a :class:`~repro.ssd.spec.DeviceSpec` or a full
@@ -44,7 +42,6 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple, Union
 
-from repro.core.experiment import DeviceKind
 from repro.core.sweep import DeviceSnapshot, Measurement
 from repro.faults.plan import FaultPlan
 from repro.host.costs import DEFAULT_COSTS, SoftwareCosts
@@ -54,7 +51,13 @@ from repro.sim.engine import Simulator
 from repro.spdk.stack import SpdkStack
 from repro.ssd.config import SsdConfig
 from repro.ssd.device import SsdDevice
-from repro.ssd.registry import list_devices, load_device_spec, resolve_config
+from repro.ssd.registry import (
+    DeviceLike,
+    list_devices,
+    load_device_spec,
+    resolve_config,
+    spec_label,
+)
 from repro.ssd.spec import DeviceSpec, DeviceSpecError
 from repro.workloads.job import FioJob, IoEngineKind
 from repro.workloads.runner import JobResult
@@ -74,7 +77,7 @@ __all__ = [
 
 
 def _name_of(value: object) -> str:
-    """Accept ``"kernel"`` or ``StackKind.KERNEL`` alike."""
+    """Accept ``"poll"`` or ``CompletionMethod.POLL`` alike."""
     if isinstance(value, enum.Enum):
         return str(value.value)
     return str(value)
@@ -88,8 +91,6 @@ def device_snapshot(device: SsdDevice, *, label: str = "") -> DeviceSnapshot:
     :func:`repro.ssd.registry.resolve_config` (or the config's display
     name) is used.
     """
-    from repro.ssd.registry import spec_label
-
     events = device.stats.gc_events
     return DeviceSnapshot(
         gc_events=len(events),
@@ -137,14 +138,12 @@ class Testbed:
     device, and stack, so runs are independent and reproducible.
 
     ``device`` names the hardware: a registry name (``"zssd"``,
-    ``"intel750"``, ``"qlc"``, ... — see :func:`list_devices`), a preset
+    ``"intel750"``, ``"qlc"``, ... — see :func:`list_devices`), an
     alias (``"ull"``/``"nvme"`` or a
-    :class:`~repro.core.experiment.DeviceKind`), a path to a
+    :class:`~repro.ssd.registry.DeviceKind`), a path to a
     ``.toml``/``.json`` spec file, a :class:`DeviceSpec`, or a raw
-    :class:`SsdConfig`.  ``config`` substitutes a full
-    :class:`SsdConfig` outright (it wins over ``device``), and
-    ``config_overrides`` applies ``(field, value)`` pairs on top of
-    either.  ``faults`` attaches a :class:`~repro.faults.FaultPlan`,
+    :class:`SsdConfig`.  ``config_overrides`` applies ``(field, value)``
+    pairs on top.  ``faults`` attaches a :class:`~repro.faults.FaultPlan`,
     threaded to every layer that can inject failures.
     """
 
@@ -152,13 +151,12 @@ class Testbed:
     #: test modules (its name matches the default Test* pattern).
     __test__ = False
 
-    device: Union[str, DeviceKind, DeviceSpec, SsdConfig] = "ull"
+    device: DeviceLike = "ull"
     stack: str = "kernel"
     completion: str = "interrupt"
     precondition: float = 1.0
     light: bool = False
     sleep_fraction: Optional[float] = None
-    config: Optional[SsdConfig] = None
     config_overrides: Tuple = ()
     queue_depth: int = 1024
     costs: Optional[SoftwareCosts] = None
@@ -169,13 +167,11 @@ class Testbed:
     # ------------------------------------------------------------------
     @property
     def device_name(self) -> str:
-        """A short label for the device — registry/spec name, preset
-        alias, or the config's model name for raw configs."""
+        """A short label for the device — registry/spec name, alias, or
+        the config's model name for raw configs."""
         if isinstance(self.device, DeviceSpec):
             return self.device.name
         if isinstance(self.device, SsdConfig):
-            from repro.ssd.registry import spec_label
-
             return spec_label(self.device)
         return _name_of(self.device)
 
@@ -185,17 +181,7 @@ class Testbed:
 
     def device_config(self) -> SsdConfig:
         """The fully resolved :class:`SsdConfig` this testbed builds."""
-        import dataclasses
-
-        if self.config is not None:
-            overrides = dict(self.config_overrides)
-            if overrides:
-                return dataclasses.replace(self.config, **overrides)
-            return self.config
-        device = self.device
-        if isinstance(device, enum.Enum):
-            device = str(device.value)
-        return resolve_config(device, self.config_overrides)
+        return resolve_config(self.device, self.config_overrides)
 
     # ------------------------------------------------------------------
     def open_device(self, sim: Simulator) -> SsdDevice:
@@ -210,8 +196,7 @@ class Testbed:
     def build(self, sim: Simulator) -> Tuple[SsdDevice, Any]:
         """Construct the full path on ``sim``; returns (device, host).
 
-        The construction order matches the historical helpers exactly,
-        so results are bit-identical to the pre-facade code.
+        The device is built (and preconditioned) before the host.
         """
         device = self.open_device(sim)
         if self.stack_name == "spdk":
@@ -299,7 +284,7 @@ class Testbed:
 # ----------------------------------------------------------------------
 def open_device(
     sim: Simulator,
-    device: Union[str, DeviceKind, DeviceSpec, SsdConfig] = "ull",
+    device: DeviceLike = "ull",
     **kwargs: Any,
 ) -> SsdDevice:
     """A fresh device on ``sim`` (keywords as on :class:`Testbed`)."""

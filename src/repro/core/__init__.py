@@ -1,22 +1,16 @@
 """The experiment harness — the paper's methodology as a library.
 
-* :mod:`repro.core.experiment` — build a device and host stack for
-  code that composes its own simulator.
 * :mod:`repro.core.metrics` — figure/series result containers.
 * :mod:`repro.core.figures` — one function per paper table/figure; the
   registry maps ``"fig04a"``-style ids to them.
 * :mod:`repro.core.report` — plain-text rendering of figure results.
 """
 
-from repro.core.experiment import DeviceKind, StackKind, build_device
 from repro.core.metrics import FigureResult, Series
 from repro.core.figures import FIGURES, run_figure
 from repro.core.report import render_figure
 
 __all__ = [
-    "DeviceKind",
-    "StackKind",
-    "build_device",
     "Series",
     "FigureResult",
     "FIGURES",

@@ -11,11 +11,11 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.core.display import KB, PATTERN_LABELS, PATTERNS
-from repro.core.experiment import DeviceKind
 from repro.core.metrics import FigureResult, Series
 from repro.core.runners import sync_point
 from repro.core.sweep import sweep
 from repro.host.accounting import ExecMode
+from repro.ssd.registry import DeviceKind
 
 BLOCK_SIZES = (4096, 8192, 16384, 32768)
 

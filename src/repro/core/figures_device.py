@@ -12,10 +12,10 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.core.display import PATTERN_LABELS, PATTERNS, US
-from repro.core.experiment import DeviceKind
 from repro.core.metrics import FigureResult, Series
 from repro.core.runners import async_point, gc_point, idle_point, sync_point
 from repro.core.sweep import sweep
+from repro.ssd.registry import DeviceKind
 
 
 # ----------------------------------------------------------------------
@@ -250,7 +250,7 @@ def fig07a(io_count: int = 1500):
 # ----------------------------------------------------------------------
 # Figures 7b and 8: garbage collection time series
 # ----------------------------------------------------------------------
-#: Default overwrite counts: enough to exhaust each preset's erased pool.
+#: Default overwrite counts: enough to exhaust each device's erased pool.
 GC_IO_COUNT = {"ull": 30_000, "nvme": 45_000}
 
 

@@ -5,10 +5,10 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.core.display import KB, PATTERN_LABELS, PATTERNS
-from repro.core.experiment import DeviceKind
 from repro.core.figures_completion import _sync_sweep
 from repro.core.metrics import FigureResult, Series
 from repro.host.accounting import ExecMode
+from repro.ssd.registry import DeviceKind
 
 BLOCK_SIZES = (4096, 8192, 16384, 32768)
 BIG_BLOCK_SIZES = (65536, 131072, 262144, 524288, 1048576)

@@ -2,7 +2,7 @@
 
 The paper measures two devices; the registry makes the device a data
 axis.  ``zoo_sweep`` is the generic grid — every registered device (plus
-the two preset aliases a caller may ask for) crossed with a workload
+the two aliases a caller may ask for) crossed with a workload
 list — and ``zoo_latency`` is the registered figure built on it: mean
 and p99 latency of 4 KB random reads and writes across the whole zoo,
 one row per device.
@@ -35,7 +35,7 @@ def zoo_points(
     """The devices x workload grid as sweep points.
 
     ``devices`` defaults to every registered spec (the zoo); pass names
-    explicitly to include the ``"ull"``/``"nvme"`` preset aliases or to
+    explicitly to include the ``"ull"``/``"nvme"`` aliases or to
     narrow the axis.  Keys are ``(device, workload)``.
     """
     from repro.ssd.registry import list_devices

@@ -45,7 +45,7 @@ from repro.workloads.runner import run_job
 # Shared helpers
 # ----------------------------------------------------------------------
 def _resolve_config(device: str, config_overrides=()):
-    """Any device the registry accepts — preset alias, zoo name, or
+    """Any device the registry accepts — alias, zoo name, or
     spec path — resolved with overrides applied."""
     return resolve_config(device, tuple(config_overrides))
 

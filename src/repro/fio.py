@@ -5,6 +5,9 @@ The simulated counterpart of invoking fio on the paper's testbed:
     python -m repro.fio examples/jobs/randread.fio --device ull \\
         --completion poll
 
+``--device`` takes any device name or spec path the registry resolves
+(``python -m repro devices list``).
+
 Each job in the file runs on a fresh, preconditioned device and prints a
 fio-style summary line.
 """
@@ -12,13 +15,18 @@ fio-style summary line.
 from __future__ import annotations
 
 import argparse
+import sys
 from typing import Any, List, Optional, Sequence
 
-from repro.core.experiment import DeviceKind, StackKind, build_device, build_stack
+from repro.api import Testbed
 from repro.host.accounting import ExecMode
 from repro.kstack.completion import CompletionMethod
+from repro.kstack.stack import KernelStack
 from repro.sim.engine import Simulator
+from repro.spdk.stack import SpdkStack
 from repro.ssd.device import SsdDevice
+from repro.ssd.registry import DeviceLike, resolve_config
+from repro.ssd.spec import DeviceSpecError
 from repro.workloads.fiofile import load_fio_file
 from repro.workloads.job import FioJob, IoEngineKind
 from repro.workloads.runner import JobResult, run_job, run_jobs
@@ -27,7 +35,7 @@ from repro.workloads.runner import JobResult, run_job, run_jobs
 def run_jobfile(
     path: str,
     *,
-    device: DeviceKind = DeviceKind.ULL,
+    device: DeviceLike = "ull",
     completion: CompletionMethod = CompletionMethod.INTERRUPT,
     precondition: float = 1.0,
     concurrent: bool = False,
@@ -47,19 +55,18 @@ def run_jobfile(
             "the kernel driver"
         )
 
+    testbed = Testbed(device=device, precondition=precondition)
+
     def make_stack(
         sim: Simulator, dev: SsdDevice, job: FioJob, seed: int
     ) -> Any:
-        stack_kind = (
-            StackKind.SPDK if job.engine is IoEngineKind.SPDK else StackKind.KERNEL
-        )
-        return build_stack(
-            sim, dev, stack=stack_kind, completion=completion, seed=seed
-        )
+        if job.engine is IoEngineKind.SPDK:
+            return SpdkStack(sim, dev)
+        return KernelStack(sim, dev, completion=completion, seed=seed)
 
     if concurrent:
         sim = Simulator()
-        dev = build_device(sim, device, precondition=precondition)
+        dev = testbed.open_device(sim)
         pairs = [
             (make_stack(sim, dev, job, seed=index + 1), job)
             for index, job in enumerate(jobs)
@@ -68,7 +75,7 @@ def run_jobfile(
     results: List[JobResult] = []
     for job in jobs:
         sim = Simulator()
-        dev = build_device(sim, device, precondition=precondition)
+        dev = testbed.open_device(sim)
         results.append(run_job(sim, make_stack(sim, dev, job, seed=1), job))
     return results
 
@@ -80,7 +87,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("jobfile", help="fio-format job file")
     parser.add_argument(
-        "--device", choices=[k.value for k in DeviceKind], default="ull"
+        "--device",
+        metavar="NAME|PATH",
+        default="ull",
+        help="registry name, alias or .toml/.json spec file (default ull)",
     )
     parser.add_argument(
         "--completion",
@@ -98,9 +108,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
              "(fio's default semantics)",
     )
     args = parser.parse_args(argv)
+    try:
+        resolve_config(args.device)
+    except DeviceSpecError as exc:
+        print(f"fio: {exc}", file=sys.stderr)
+        return 2
     results = run_jobfile(
         args.jobfile,
-        device=DeviceKind(args.device),
+        device=args.device,
         completion=CompletionMethod(args.completion),
         precondition=args.precondition,
         concurrent=args.concurrent,

@@ -9,8 +9,8 @@ the NVMe SSD (Section IV-D1).
 For a super-channel device the pair of physical channels always moves as
 one (split-DMA drives both halves in lockstep), so a pair is modeled as a
 single timeline with twice the single-channel rate; the
-:class:`~repro.ssd.config.SsdConfig` presets encode that in
-``channel_mbps``.
+:class:`~repro.ssd.config.SsdConfig` of a super-channel device (``zssd``)
+encodes that in ``channel_mbps``.
 """
 
 from __future__ import annotations

@@ -2,25 +2,26 @@
 
 One lookup path for every way a caller can say "this device":
 
-* a **preset name** (``"ull"``/``"nvme"``) — the paper's two hand-wired
-  configs, built by :mod:`repro.ssd.presets` exactly as they always
-  were (their sweep cache identity is unchanged, so warm caches stay
-  warm);
 * a **registry name** (``"zssd"``, ``"qlc"``, ...) — a TOML spec from
   the built-in ``devices/`` tree or one registered in-process with
   :func:`register_spec`;
+* an **alias** (``"ull"``/``"nvme"``, or :class:`DeviceKind`) — the
+  paper's names for its two devices, resolved through
+  :data:`DEVICE_ALIASES` to their zoo specs ``zssd``/``intel750``;
 * a **path** (``"specs/mydev.toml"``) — any spec file on disk;
 * a live :class:`~repro.ssd.spec.DeviceSpec` or
   :class:`~repro.ssd.config.SsdConfig` object.
 
-Spec-built devices are identified in sweep cache keys by their
+Every named device is identified in sweep cache keys by its spec's
 canonical :meth:`~repro.ssd.spec.DeviceSpec.spec_hash` (see
 :func:`device_identity`), so two spec files describing the same device
-share cache entries and any edit re-keys them.
+share cache entries and any edit re-keys them.  An alias keeps its own
+name as the config's label (figure output, trace process names) but
+shares its twin's identity.
 
 The module also hosts the ambient *device override* the CLI's
 ``--device`` flag installs: figure grids declared against the paper's
-two presets re-point every measurement at the named device, which is
+two devices re-point every measurement at the named device, which is
 how any existing figure runs across the zoo.
 """
 
@@ -28,22 +29,28 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import enum
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 from repro.ssd.config import SsdConfig
-from repro.ssd.presets import build_nvme_preset, build_ull_preset
 from repro.ssd.spec import DeviceSpec, DeviceSpecError
 
 #: The built-in device zoo: TOML specs shipped with the package.
 DEVICES_DIR = Path(__file__).resolve().parents[1] / "devices"
 
-#: The paper's two devices keep their hand-wired preset path (and with
-#: it their historical sweep cache identity).  Their spec twins live in
-#: the zoo as ``zssd``/``intel750``.
-PRESET_NAMES: Tuple[str, ...] = ("ull", "nvme")
+#: The paper's names for its two devices, mapped to their zoo specs.
+DEVICE_ALIASES: Dict[str, str] = {"ull": "zssd", "nvme": "intel750"}
 
-DeviceLike = Union[str, DeviceSpec, SsdConfig]
+
+class DeviceKind(enum.Enum):
+    """The paper's two SSDs, by their alias names."""
+
+    ULL = "ull"
+    NVME = "nvme"
+
+
+DeviceLike = Union[str, DeviceKind, DeviceSpec, SsdConfig]
 
 _spec_cache: Dict[str, DeviceSpec] = {}
 _registered: Dict[str, DeviceSpec] = {}
@@ -55,8 +62,7 @@ _registered: Dict[str, DeviceSpec] = {}
 def list_devices() -> Tuple[str, ...]:
     """Sorted names of every registered device spec (the zoo).
 
-    The ``"ull"``/``"nvme"`` preset aliases are not listed — their spec
-    twins ``zssd``/``intel750`` are.
+    The :data:`DEVICE_ALIASES` are not listed — their spec twins are.
     """
     names = {path.stem for path in DEVICES_DIR.glob("*.toml")}
     names.update(path.stem for path in DEVICES_DIR.glob("*.json"))
@@ -66,9 +72,9 @@ def list_devices() -> Tuple[str, ...]:
 
 def register_spec(spec: DeviceSpec) -> DeviceSpec:
     """Register an in-process spec under its name (tests, notebooks)."""
-    if spec.name in PRESET_NAMES:
+    if spec.name in DEVICE_ALIASES:
         raise DeviceSpecError(
-            f"{spec.name!r} is a reserved preset name", source=spec.source,
+            f"{spec.name!r} is a reserved alias name", source=spec.source,
             keypath="name", value=spec.name,
         )
     _registered[spec.name] = spec
@@ -95,12 +101,12 @@ def _looks_like_path(device: str) -> bool:
 
 
 def get_spec(name: str) -> DeviceSpec:
-    """The validated spec registered under ``name``.
+    """The validated spec registered under ``name`` (or aliased by it).
 
     Raises :class:`DeviceSpecError` for unknown names, listing what is
-    available (presets resolve through :func:`resolve_config`, not
-    here — they are configs, not specs).
+    available.
     """
+    name = DEVICE_ALIASES.get(name, name)
     registered = _registered.get(name)
     if registered is not None:
         return registered
@@ -121,7 +127,7 @@ def get_spec(name: str) -> DeviceSpec:
             return spec
     raise DeviceSpecError(
         "unknown device (registered: "
-        + ", ".join(list_devices() + PRESET_NAMES) + ")",
+        + ", ".join(list_devices() + tuple(DEVICE_ALIASES)) + ")",
         source="<registry>", keypath="device", value=name,
     )
 
@@ -156,7 +162,9 @@ def resolve_config(
     """The fully resolved :class:`SsdConfig` for ``device``.
 
     ``overrides`` are ``(field, value)`` pairs applied on top via
-    ``dataclasses.replace`` — same semantics for presets and specs.
+    ``dataclasses.replace``.  The config is labelled with the name it
+    was asked for, so an alias keeps its own name (see
+    :func:`spec_label`).
     """
     label: str
     if isinstance(device, SsdConfig):
@@ -167,11 +175,7 @@ def resolve_config(
         label = device.name
     else:
         name = _device_name(device)
-        if name == "ull":
-            config, label = build_ull_preset(), "ull"
-        elif name == "nvme":
-            config, label = build_nvme_preset(), "nvme"
-        elif _looks_like_path(name):
+        if _looks_like_path(name):
             spec = load_device_spec(name)
             config, label = spec.to_ssd_config(), spec.name
         else:
@@ -185,8 +189,8 @@ def _with_label(config: SsdConfig, label: str) -> SsdConfig:
     """Attach the registry name as a non-field attribute.
 
     Deliberately *not* a dataclass field: it must stay out of
-    ``asdict``/``repr``/``eq`` so preset cache identities (and config
-    equality with hand-built configs) are untouched.
+    ``asdict``/``repr``/``eq`` so a config equals its hand-built
+    counterpart whatever name it was resolved under.
     """
     object.__setattr__(config, "_spec_label", label)
     return config
@@ -206,19 +210,11 @@ def device_identity(
 ) -> str:
     """The string that identifies a device inside sweep cache keys.
 
-    * Preset names produce the historical identity — the repr of the
-      resolved config — byte-for-byte, so every pre-registry cache
-      entry keeps its key.
-    * Registry names and spec paths produce ``spec:<name>:<hash>``:
-      content-addressed, so editing a spec file re-keys its
-      measurements while renaming the file does not change behavior.
+    ``spec:<name>:<hash>``: content-addressed, so editing a spec file
+    re-keys its measurements while renaming the file does not change
+    behavior.  An alias gets its twin's identity.
     """
     name = _device_name(device)
-    if name in PRESET_NAMES:
-        config = build_ull_preset() if name == "ull" else build_nvme_preset()
-        if overrides:
-            config = dataclasses.replace(config, **dict(overrides))
-        return repr(sorted(dataclasses.asdict(config).items()))
     spec = load_device_spec(name) if _looks_like_path(name) else get_spec(name)
     identity = f"spec:{spec.name}:{spec.spec_hash()}"
     if overrides:

@@ -5,10 +5,10 @@ import dataclasses
 import pytest
 
 from repro.api import JobConfig, Testbed, device_snapshot, open_device, run_job
-from repro.core.experiment import DeviceKind, StackKind
 from repro.kstack.stack import KernelStack
 from repro.sim import Simulator
 from repro.spdk.stack import SpdkStack
+from repro.ssd.registry import DeviceKind
 
 
 class TestJobConfig:
@@ -29,7 +29,7 @@ class TestTestbed:
     def test_accepts_strings_and_enums(self):
         assert Testbed(device="ull").device_name == "ull"
         assert Testbed(device=DeviceKind.NVME).device_name == "nvme"
-        assert Testbed(stack=StackKind.SPDK).stack_name == "spdk"
+        assert Testbed(stack="spdk").stack_name == "spdk"
 
     def test_device_config_applies_overrides(self):
         base = Testbed(device="ull").device_config()

@@ -1,17 +1,11 @@
-"""Tests for the experiment harness (build helpers + api facade)."""
+"""Tests for the experiment harness (the api facade's builders and runs)."""
 
 from repro.api import JobConfig, Testbed
-from repro.core.experiment import (
-    DeviceKind,
-    StackKind,
-    build_device,
-    build_stack,
-    device_config,
-)
 from repro.kstack.completion import CompletionMethod
 from repro.kstack.stack import KernelStack
 from repro.sim import Simulator
 from repro.spdk.stack import SpdkStack
+from repro.ssd.registry import DeviceKind
 
 
 def sync_job(device, rw, *, io_count, block_size=4096, stack="kernel",
@@ -43,30 +37,28 @@ def async_job(device, rw, *, iodepth=1, io_count, write_fraction=0.5,
 
 class TestBuilders:
     def test_device_configs_differ(self):
-        ull = device_config(DeviceKind.ULL)
-        nvme = device_config(DeviceKind.NVME)
+        ull = Testbed(device=DeviceKind.ULL).device_config()
+        nvme = Testbed(device=DeviceKind.NVME).device_config()
         assert ull.suspend_resume and not nvme.suspend_resume
         assert ull.timing.name == "Z-NAND"
         assert nvme.timing.name == "planar-MLC"
         assert nvme.read_cache_units > 0 and ull.read_cache_units == 0
 
-    def test_build_device_preconditions(self):
+    def test_open_device_preconditions(self):
         sim = Simulator()
-        device = build_device(sim, DeviceKind.ULL, precondition=1.0)
+        device = Testbed(device=DeviceKind.ULL, precondition=1.0).open_device(sim)
         assert device.ftl.mapping.mapped_lpn_count == device.logical_pages
 
-    def test_build_device_skips_precondition(self):
+    def test_open_device_skips_precondition(self):
         sim = Simulator()
-        device = build_device(sim, DeviceKind.ULL, precondition=0.0)
+        device = Testbed(device=DeviceKind.ULL, precondition=0.0).open_device(sim)
         assert device.ftl.mapping.mapped_lpn_count == 0
 
-    def test_build_stack_kinds(self):
-        sim = Simulator()
-        device = build_device(sim, DeviceKind.ULL, precondition=0.0)
-        assert isinstance(build_stack(sim, device), KernelStack)
-        assert isinstance(
-            build_stack(sim, device, stack=StackKind.SPDK), SpdkStack
-        )
+    def test_build_host_kinds(self):
+        _, kernel = Testbed(precondition=0.0).build(Simulator())
+        assert isinstance(kernel, KernelStack)
+        _, spdk = Testbed(stack="spdk", precondition=0.0).build(Simulator())
+        assert isinstance(spdk, SpdkStack)
 
 
 class TestRunners:
@@ -86,7 +78,7 @@ class TestRunners:
 
     def test_sync_job_spdk_stack(self):
         result = sync_job(
-            DeviceKind.ULL, "read", io_count=100, stack=StackKind.SPDK
+            DeviceKind.ULL, "read", io_count=100, stack="spdk"
         )
         assert result.latency.mean_us < 12
 

@@ -2,24 +2,25 @@
 
 The two load-bearing guarantees:
 
-* **golden byte-identity** — the ``zssd``/``intel750`` zoo specs build
-  configs equal to the hand-wired presets, and measurements run through
-  them are byte-identical to preset runs, serially and with worker
-  fan-out;
-* **cache-key discipline** — preset devices keep their historical sweep
-  cache identity (so warm caches survive the registry), while
-  spec-built devices get content-addressed ``spec:<name>:<hash>`` keys
-  distinct per device.
+* **golden byte-identity** — the ``zssd``/``intel750`` zoo specs and
+  their ``ull``/``nvme`` aliases build configs that match the committed
+  golden (``tests/golden/device_configs.json``, the paper-derived
+  reference), and measurements run through an alias are byte-identical
+  to runs of its twin, serially and with worker fan-out;
+* **cache-key discipline** — named devices get content-addressed
+  ``spec:<name>:<hash>`` identities, distinct per device and shared
+  between an alias and its twin.
 """
 
 import dataclasses
+import json
 import pickle
+from pathlib import Path
 
 import pytest
 
 from repro.core.runners import sync_point
 from repro.core.sweep import ExperimentSpec, SweepEngine, point_cache_key
-from repro.ssd.presets import build_nvme_preset, build_ull_preset
 from repro.ssd.registry import (
     DEVICES_DIR,
     clear_cache,
@@ -37,6 +38,16 @@ from repro.ssd.registry import (
 from repro.ssd.spec import DeviceSpecError, spec_from_config
 
 ZOO = ("intel750", "no-gc-pm", "planar-mlc", "qlc", "tlc-multistep", "zssd")
+
+#: ``repr(sorted(asdict(config).items()))`` of the paper's two devices,
+#: keyed by alias; frozen from the hand-wired builders the specs replaced.
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "device_configs.json").read_text()
+)
+
+
+def _golden_form(config):
+    return repr(sorted(dataclasses.asdict(config).items()))
 
 
 class TestRegistryBasics:
@@ -77,19 +88,20 @@ class TestRegistryBasics:
             clear_cache()
 
     def test_register_and_unregister_in_process(self):
-        spec = spec_from_config(build_ull_preset(), name="custom-dev")
+        spec = spec_from_config(resolve_config("zssd"), name="custom-dev")
         register_spec(spec)
         try:
             assert "custom-dev" in list_devices()
-            assert resolve_config("custom-dev") == build_ull_preset()
+            assert resolve_config("custom-dev") == resolve_config("zssd")
         finally:
             unregister_spec(spec.name)
         assert "custom-dev" not in list_devices()
 
     def test_preset_names_reserved(self):
-        spec = spec_from_config(build_ull_preset(), name="ull")
-        with pytest.raises(DeviceSpecError, match="reserved"):
-            register_spec(spec)
+        for alias in ("ull", "nvme"):
+            spec = spec_from_config(resolve_config("zssd"), name=alias)
+            with pytest.raises(DeviceSpecError, match="reserved"):
+                register_spec(spec)
 
     def test_overrides_apply(self):
         config = resolve_config("zssd", (("overprovision", 0.33),))
@@ -98,14 +110,17 @@ class TestRegistryBasics:
 
 class TestGoldenIdentity:
     def test_zssd_config_equals_ull_preset(self):
-        assert resolve_config("zssd") == build_ull_preset()
+        assert _golden_form(resolve_config("zssd")) == GOLDEN["ull"]
 
     def test_intel750_config_equals_nvme_preset(self):
-        assert resolve_config("intel750") == build_nvme_preset()
+        assert _golden_form(resolve_config("intel750")) == GOLDEN["nvme"]
 
     def test_preset_aliases_build_presets(self):
-        assert resolve_config("ull") == build_ull_preset()
-        assert resolve_config("nvme") == build_nvme_preset()
+        for alias in ("ull", "nvme"):
+            config = resolve_config(alias)
+            assert _golden_form(config) == GOLDEN[alias]
+            # The twin's config, still labelled with the alias.
+            assert spec_label(config) == alias
 
     def _measure(self, device, jobs=1):
         engine = SweepEngine(jobs=jobs)
@@ -121,6 +136,8 @@ class TestGoldenIdentity:
             for key, m in engine.run(spec).items()
         }
 
+    # An alias runs its twin's spec; only the name in the point differs,
+    # and it must not perturb a single byte of the result.
     def test_zssd_measurements_byte_identical_to_preset_serial(self):
         assert self._measure("zssd") == self._measure("ull")
 
@@ -132,26 +149,15 @@ class TestGoldenIdentity:
 
 
 class TestCacheIdentity:
-    # The historical identity formula, frozen here on purpose: if this
-    # test breaks, every pre-registry on-disk cache entry is orphaned.
-    @staticmethod
-    def _legacy_identity(config):
-        return repr(sorted(dataclasses.asdict(config).items()))
-
-    def test_preset_identity_is_the_legacy_formula(self):
-        assert device_identity("ull") == self._legacy_identity(
-            build_ull_preset()
-        )
-        assert device_identity("nvme") == self._legacy_identity(
-            build_nvme_preset()
-        )
-
-    def test_preset_identity_with_overrides_matches_legacy(self):
+    def test_aliases_share_their_twins_identity(self):
         overrides = (("overprovision", 0.4),)
-        expected = self._legacy_identity(
-            dataclasses.replace(build_ull_preset(), overprovision=0.4)
-        )
-        assert device_identity("ull", overrides) == expected
+        for alias, twin in (("ull", "zssd"), ("nvme", "intel750")):
+            assert device_identity(alias) == device_identity(twin)
+            assert device_identity(alias).startswith(f"spec:{twin}:")
+            assert device_identity(alias, overrides) == device_identity(
+                twin, overrides
+            )
+            assert device_identity(alias, overrides) != device_identity(alias)
 
     def test_spec_identity_is_content_addressed(self):
         identity = device_identity("qlc")
@@ -166,16 +172,17 @@ class TestCacheIdentity:
         assert len(keys) == len(ZOO)
 
     def test_zssd_and_ull_points_key_differently(self):
-        # Deliberate: the spec twin is content-addressed, the preset is
-        # legacy-keyed.  Byte-identical *results*, separate cache rows.
-        preset = point_cache_key(sync_point("ull", "randread", io_count=100))
-        spec = point_cache_key(sync_point("zssd", "randread", io_count=100))
-        assert preset != spec
+        # The device identity is shared, but the point's params carry
+        # the name it was asked for (it labels the output).
+        # Byte-identical *results*, separate cache rows.
+        alias = point_cache_key(sync_point("ull", "randread", io_count=100))
+        twin = point_cache_key(sync_point("zssd", "randread", io_count=100))
+        assert alias != twin
 
     def test_editing_a_spec_rekeys_it(self):
-        base = spec_from_config(build_ull_preset(), name="edit-me")
+        base = spec_from_config(resolve_config("zssd"), name="edit-me")
         edited = spec_from_config(
-            dataclasses.replace(build_ull_preset(), overprovision=0.31),
+            dataclasses.replace(resolve_config("zssd"), overprovision=0.31),
             name="edit-me",
         )
         register_spec(base)

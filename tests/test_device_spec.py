@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.ssd.config import SsdConfig
-from repro.ssd.presets import build_nvme_preset, build_ull_preset
+from repro.ssd.registry import resolve_config
 from repro.ssd.spec import (
     DeviceSpec,
     DeviceSpecError,
@@ -148,7 +148,7 @@ class TestValidation:
 
 class TestRoundTrip:
     def test_toml_round_trip_is_hash_stable(self, tmp_path):
-        spec = spec_from_config(build_ull_preset(), name="rt")
+        spec = spec_from_config(resolve_config("ull"), name="rt")
         path = tmp_path / "rt.toml"
         path.write_text(spec.to_toml())
         again = DeviceSpec.from_path(path)
@@ -156,7 +156,7 @@ class TestRoundTrip:
         assert again.to_ssd_config() == spec.to_ssd_config()
 
     def test_json_round_trip_is_hash_stable(self, tmp_path):
-        spec = spec_from_config(build_nvme_preset(), name="rt")
+        spec = spec_from_config(resolve_config("nvme"), name="rt")
         path = tmp_path / "rt.json"
         path.write_text(spec.to_json())
         again = DeviceSpec.from_path(path)
@@ -193,9 +193,9 @@ class TestRoundTrip:
 
 class TestPresetTwins:
     def test_generated_zssd_spec_equals_preset(self):
-        spec = spec_from_config(build_ull_preset(), name="zssd")
-        assert spec.to_ssd_config() == build_ull_preset()
+        config = resolve_config("ull")
+        assert spec_from_config(config, name="zssd").to_ssd_config() == config
 
     def test_generated_intel750_spec_equals_preset(self):
-        spec = spec_from_config(build_nvme_preset(), name="intel750")
-        assert spec.to_ssd_config() == build_nvme_preset()
+        config = resolve_config("nvme")
+        assert spec_from_config(config, name="intel750").to_ssd_config() == config

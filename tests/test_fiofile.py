@@ -133,7 +133,7 @@ class TestCliRunner:
             "[global]\nioengine=pvsync2\nbs=4k\n[r]\nrw=randread\nnumber_ios=60\n"
         )
         from repro.fio import run_jobfile
-        from repro.core.experiment import DeviceKind
+        from repro.ssd.registry import DeviceKind
 
         results = run_jobfile(str(path), device=DeviceKind.ULL)
         assert len(results) == 1
@@ -148,13 +148,33 @@ class TestCliRunner:
         out = capsys.readouterr().out
         assert "lat (usec)" in out and "iops" in out
 
+    def test_cli_device_takes_zoo_names(self, tmp_path, capsys):
+        path = tmp_path / "t.fio"
+        path.write_text("[r]\nrw=randread\nbs=4k\nnumber_ios=40\n")
+        from repro.fio import main
+
+        assert main([str(path), "--device", "qlc"]) == 0
+        assert "lat (usec)" in capsys.readouterr().out
+
+    def test_cli_unknown_device_is_one_line(self, tmp_path, capsys):
+        path = tmp_path / "t.fio"
+        path.write_text("[r]\nrw=randread\nbs=4k\nnumber_ios=40\n")
+        from repro.fio import main
+
+        assert main([str(path), "--device", "warp-drive"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("fio: ") and "warp-drive" in lines[0]
+
     def test_concurrent_jobs_share_one_device(self, tmp_path):
         path = tmp_path / "c.fio"
         path.write_text(
             "[global]\nbs=4k\nnumber_ios=50\n"
             "[r]\nrw=randread\n[w]\nrw=randwrite\n"
         )
-        from repro.core.experiment import DeviceKind
+        from repro.ssd.registry import DeviceKind
         from repro.fio import run_jobfile
 
         results = run_jobfile(str(path), device=DeviceKind.ULL, concurrent=True)

@@ -1,4 +1,5 @@
-"""Cross-stack integration tests: end-to-end invariants on the presets."""
+"""Cross-stack integration tests: end-to-end invariants on the paper's
+two devices."""
 
 
 from repro import (
@@ -10,11 +11,9 @@ from repro import (
     Simulator,
     SpdkStack,
     SsdDevice,
-    StackKind,
-    build_device,
     run_job,
 )
-from repro.api import JobConfig, Testbed
+from repro.api import JobConfig, Testbed, open_device
 from repro.ssd.registry import resolve_config
 
 
@@ -51,7 +50,7 @@ class TestLatencyOrdering:
             DeviceKind.ULL, "read", io_count=400, completion=CompletionMethod.POLL
         )
         spdk = sync_job(
-            DeviceKind.ULL, "read", io_count=400, stack=StackKind.SPDK
+            DeviceKind.ULL, "read", io_count=400, stack="spdk"
         )
         assert spdk.latency.mean_ns < poll.latency.mean_ns < interrupt.latency.mean_ns
 
@@ -151,8 +150,8 @@ class TestDeterminism:
 class TestPresetSanity:
     def test_preset_capacities(self):
         sim = Simulator()
-        ull = build_device(sim, DeviceKind.ULL, precondition=0.0)
-        nvme = build_device(sim, DeviceKind.NVME, precondition=0.0)
+        ull = open_device(sim, DeviceKind.ULL, precondition=0.0)
+        nvme = open_device(sim, DeviceKind.NVME, precondition=0.0)
         # Scaled-down but non-trivial devices.
         assert 100 << 20 < ull.capacity_bytes < 1 << 30
         assert 100 << 20 < nvme.capacity_bytes < 2 << 30

@@ -1,7 +1,7 @@
-"""Behavioral tests of the two device presets (paper Section III-B).
+"""Behavioral tests of the paper's two devices (Section III-B).
 
-The presets are exercised through the registry (``"ull"``/``"nvme"``),
-which builds them with ``build_ull_preset``/``build_nvme_preset``.
+The devices are exercised through their registry aliases
+(``"ull"``/``"nvme"``), which resolve to the ``zssd``/``intel750`` specs.
 """
 
 import pytest

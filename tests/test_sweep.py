@@ -51,7 +51,7 @@ class TestCanonicalization:
         assert canonical(None) is None
 
     def test_enums_become_values(self):
-        from repro.core.experiment import DeviceKind
+        from repro.ssd.registry import DeviceKind
 
         assert canonical(DeviceKind.ULL) == "ull"
 
