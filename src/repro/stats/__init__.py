@@ -1,13 +1,11 @@
 """Measurement utilities: latency distributions and time series."""
 
-from repro.stats.histogram import LatencyHistogram
 from repro.stats.latency import LatencyRecorder, LatencySummary
 from repro.stats.timeseries import TimeSeries, WindowedAverage
 
 __all__ = [
     "LatencyRecorder",
     "LatencySummary",
-    "LatencyHistogram",
     "TimeSeries",
     "WindowedAverage",
 ]

@@ -73,34 +73,3 @@ class WindowedAverage:
     def __len__(self) -> int:
         return len(self.starts_ns)
 
-
-class PowerIntegrator:
-    """Integrates a piecewise-constant power signal into energy.
-
-    The device power model reports transitions ("power is now P watts");
-    the integrator turns those into average power over arbitrary spans,
-    which is what a wall-socket power meter shows.
-    """
-
-    def __init__(self, idle_watts: float) -> None:
-        self._last_t: int = 0
-        self._last_power: float = idle_watts
-        self._energy_j_per_ns: float = 0.0
-        self.series = TimeSeries("power")
-
-    def set_power(self, t_ns: int, watts: float) -> None:
-        if t_ns < self._last_t:
-            raise ValueError("power transitions must be time-ordered")
-        self._energy_j_per_ns += self._last_power * (t_ns - self._last_t)
-        self._last_t = t_ns
-        self._last_power = watts
-        self.series.record(t_ns, watts)
-
-    def average_watts(self, until_ns: int) -> float:
-        """Mean power from t=0 to ``until_ns``."""
-        if until_ns <= 0:
-            return self._last_power
-        total = self._energy_j_per_ns + self._last_power * max(
-            0, until_ns - self._last_t
-        )
-        return total / until_ns

@@ -1,10 +1,9 @@
-"""Tests for latency recording, time series, and power integration."""
+"""Tests for latency recording and time series."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.stats import LatencyRecorder, TimeSeries, WindowedAverage
-from repro.stats.timeseries import PowerIntegrator
 
 
 class TestLatencyRecorder:
@@ -90,27 +89,3 @@ class TestTimeSeries:
         assert min(windowed.means) >= min(values) - 1e-9
         assert max(windowed.means) <= max(values) + 1e-9
 
-
-class TestPowerIntegrator:
-    def test_constant_power(self):
-        integrator = PowerIntegrator(idle_watts=4.0)
-        assert integrator.average_watts(1000) == pytest.approx(4.0)
-
-    def test_step_change(self):
-        integrator = PowerIntegrator(idle_watts=2.0)
-        integrator.set_power(500, 6.0)
-        # 500ns at 2W + 500ns at 6W = mean 4W.
-        assert integrator.average_watts(1000) == pytest.approx(4.0)
-
-    def test_transitions_must_be_ordered(self):
-        integrator = PowerIntegrator(idle_watts=1.0)
-        integrator.set_power(100, 2.0)
-        with pytest.raises(ValueError):
-            integrator.set_power(50, 3.0)
-
-    def test_series_captures_transitions(self):
-        integrator = PowerIntegrator(idle_watts=1.0)
-        integrator.set_power(10, 5.0)
-        integrator.set_power(20, 1.0)
-        assert len(integrator.series) == 2
-        assert list(integrator.series.values) == [5.0, 1.0]
