@@ -25,7 +25,6 @@ from repro.core.report import render_figure
 from repro.perf import PerfSession, bench_filename, write_bench
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-REPO_ROOT = pathlib.Path(__file__).parent.parent
 
 if os.environ.get("REPRO_JOBS") or os.environ.get("REPRO_CACHE_DIR"):
     sweep.configure(
@@ -34,9 +33,10 @@ if os.environ.get("REPRO_JOBS") or os.environ.get("REPRO_CACHE_DIR"):
     )
 
 # Self-profiling: every window between emit() calls is booked to the
-# figure just emitted, and the aggregate lands in a top-level
-# BENCH_<date>.json when the benchmark process exits — the perf
-# trajectory rides along with the per-figure result files.
+# figure just emitted, and the aggregate lands in
+# benchmarks/results/BENCH_<date>.json (gitignored, like the per-figure
+# JSON) when the benchmark process exits, so a run never litters the
+# repo root.
 _PERF = PerfSession()
 _PERF_MARK = _PERF.mark()
 
@@ -45,8 +45,9 @@ _PERF_MARK = _PERF.mark()
 def _write_bench_aggregate() -> None:
     if not _PERF.records:
         return
+    RESULTS_DIR.mkdir(exist_ok=True)
     path = write_bench(_PERF.to_doc(source="benchmarks"),
-                       REPO_ROOT / bench_filename())
+                       RESULTS_DIR / bench_filename())
     print(f"\nwrote benchmark timings to {path}")
 
 

@@ -38,10 +38,11 @@ Six subcommands share one flag vocabulary:
   ``--profile`` runs each figure under the self-profiler and folds the
   per-figure hotspot table into the bench document.
 * ``profile`` — run ONE figure under the self-profiler
-  (:mod:`repro.obs.prof`): print the hotspot-attribution table and
-  event-queue introspection, and optionally export flamegraphs
+  (:mod:`repro.obs.prof`): print the hotspot-attribution table (each
+  process resume charged to the innermost generator it runs) and the
+  event-queue counters, and optionally export flamegraphs
   (``--profile-out`` speedscope JSON, ``--collapsed`` collapsed-stack
-  text) and the queue-depth timeline (``--timeline``, ``.html`` or CSV).
+  text).
 
 Use ``--scale`` to grow or shrink I/O counts (0.1 = 10 % of the default
 samples, 2.0 = double), ``--list`` to enumerate figure ids.
@@ -565,15 +566,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write collapsed-stack text (FlameGraph tool input)",
     )
     profile.add_argument(
-        "--timeline",
-        metavar="FILE",
-        default=None,
-        help=(
-            "write the queue-introspection time series "
-            "(.html -> timeline report, anything else -> CSV)"
-        ),
-    )
-    profile.add_argument(
         "--no-wall",
         action="store_true",
         help="skip perf_counter wall sampling (exact event counts only)",
@@ -584,13 +576,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=15,
         metavar="N",
         help="hotspot table size (default 15)",
-    )
-    profile.add_argument(
-        "--period",
-        type=_positive_int,
-        default=None,
-        metavar="NS",
-        help="queue-series sample period in sim nanoseconds (default 10000)",
     )
     _add_exec_flags(profile)
     _add_fault_flags(profile)
@@ -890,18 +875,13 @@ def _cmd_profile(parser, args) -> int:
         write_collapsed,
         write_speedscope,
     )
-    from repro.obs.telemetry import DEFAULT_PERIOD_NS
 
     figure_id = args.figures[0]
     if figure_id not in FIGURES:
         print(f"unknown figure {figure_id!r}; try --list", file=sys.stderr)
         return 2
     _configure_engine(args)
-    config = ProfilerConfig(
-        wall=not args.no_wall,
-        period_ns=args.period or DEFAULT_PERIOD_NS,
-        top=args.top,
-    )
+    config = ProfilerConfig(wall=not args.no_wall, top=args.top)
     kwargs = _scaled_kwargs(
         figure_id, args.scale, seed=args.seed, fault_seed=args.fault_seed
     )
@@ -926,20 +906,6 @@ def _cmd_profile(parser, args) -> int:
         print(
             f"wrote collapsed stacks to {args.collapsed}", file=sys.stderr
         )
-    if args.timeline:
-        if args.timeline.endswith((".html", ".htm")):
-            from repro.obs.html import write_telemetry_html
-
-            write_telemetry_html(
-                prof.telemetry,
-                args.timeline,
-                title=f"Sim profiler timeline — {figure_id}",
-            )
-        else:
-            from repro.obs.export import write_telemetry_csv
-
-            write_telemetry_csv(prof.telemetry, args.timeline)
-        print(f"wrote queue timeline to {args.timeline}", file=sys.stderr)
     return 0
 
 

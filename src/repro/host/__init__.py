@@ -9,14 +9,10 @@ is the simulated equivalent of that profiler.
 
 from repro.host.accounting import CpuAccounting, ExecMode
 from repro.host.costs import SoftwareCosts, StepCost
-from repro.host.cpu import CpuCore, CpuSpec, CpuTopology
 
 __all__ = [
     "CpuAccounting",
     "ExecMode",
     "SoftwareCosts",
     "StepCost",
-    "CpuSpec",
-    "CpuCore",
-    "CpuTopology",
 ]

@@ -17,7 +17,7 @@ Six pieces:
   tail blame up by resource, and tracks SLO attainment + burn rate.
 * **Self-profiling** (:mod:`repro.obs.prof`): where the *simulator
   itself* spends its events and wall time — hotspot attribution by
-  layer/component/callsite, event-queue introspection, and
+  layer/component/callsite, event-queue counters, and
   collapsed-stack / speedscope flamegraph export.
 * **Exporters & reports** (:mod:`repro.obs.export`,
   :mod:`repro.obs.html`, :mod:`repro.obs.anatomy`): Chrome

@@ -1,9 +1,9 @@
 """repro.obs.prof — the deterministic self-profiler for the simulator.
 
 The span tracer and telemetry answer *sim-time* questions (where does a
-request's latency go); this module answers the *wall-time* question the
-ROADMAP's 10-100x speedup item needs: where does the simulator itself
-spend its events and its host CPU?  Three views:
+request's latency go); this module answers the *wall-time* question:
+where does the simulator itself spend its events and its host CPU?
+Three views:
 
 * **Hotspot attribution** — every callback dispatched by
   :meth:`repro.sim.engine.Simulator.step` is bucketed by *call site*: a
@@ -12,18 +12,16 @@ spend its events and its host CPU?  Three views:
   ``ssd.channels``).  Generator-trampoline dispatches — a
   :class:`~repro.sim.process.Process` resume, or an event whose firing
   synchronously resumes a waiting process — are attributed to the
-  *generator's* code object, so the cost of ``Timeout._fire`` lands on
-  the FTL/NVMe/kstack coroutine it actually drives, not on the sim
-  kernel.  Event counts are exact (counted on the sim clock); wall time
-  is sampled with ``time.perf_counter_ns`` around each dispatch when
+  *innermost* generator of the process's ``yield from`` chain, the one
+  whose code the resume actually runs.  So the cost of
+  ``Timeout._fire`` lands on ``KernelStack._submit_path``, not on the
+  ``SyncJobEngine.run`` that delegated to it, nor on the sim kernel.
+  Event counts are exact (counted on the sim clock); wall time is
+  sampled with ``time.perf_counter_ns`` around each dispatch when
   ``ProfilerConfig.wall`` is on.
-* **Event-queue introspection** — insert/dispatch/stale-wakeup counts,
-  peak and time-resolved queue depth, a heap-sift cost proxy (sum of
-  ``log2(depth)`` per push/pop — the comparison count a binary heap
-  pays), same-tick batch sizes, and generator-trampoline hop counts.
-  The time-resolved series are real :class:`~repro.obs.telemetry.
-  TimeSeries` objects in a private recorder, so the existing HTML
-  timeline and CSV exporters render them unchanged.
+* **Event-queue counters** — inserts, stale wakeups (a process resumed
+  by an event it already moved on from) and peak queue depth; the
+  dispatch count is the total of the hotspot counts.
 * **Flamegraph export** — collapsed-stack text (``layer;component;
   callsite count``, pipe into any FlameGraph tool) and speedscope JSON
   (open at https://www.speedscope.app), one sampled profile weighted by
@@ -49,19 +47,10 @@ from __future__ import annotations
 import json
 import time
 from types import CodeType
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.obs.export import atomic_write_text
 from repro.obs.recorder import Recorder
-from repro.obs.telemetry import (
-    DEFAULT_PERIOD_NS,
-    TailDigest,
-    Telemetry,
-    TelemetryConfig,
-)
-
-if TYPE_CHECKING:
-    from repro.sim.engine import Simulator
 
 #: How deep to follow an event's callback chain looking for the process
 #: it will synchronously resume (Timeout -> AnyOf -> Process is depth 2).
@@ -101,25 +90,16 @@ class ProfilerConfig:
     """What the profiler samples and how the table is cut.
 
     ``wall`` toggles ``perf_counter_ns`` sampling around each dispatch
-    (event counts are always exact); ``period_ns`` is the sample period
-    of the queue-introspection time series; ``top`` bounds the rendered
-    hotspot table (exports always carry every site).
+    (event counts are always exact); ``top`` bounds the rendered hotspot
+    table (exports always carry every site).
     """
 
-    __slots__ = ("wall", "period_ns", "top")
+    __slots__ = ("wall", "top")
 
-    def __init__(
-        self,
-        wall: bool = True,
-        period_ns: int = DEFAULT_PERIOD_NS,
-        top: int = 15,
-    ) -> None:
-        if period_ns <= 0:
-            raise ValueError("profiler sample period must be positive")
+    def __init__(self, wall: bool = True, top: int = 15) -> None:
         if top < 1:
             raise ValueError("hotspot table size must be >= 1")
         self.wall = bool(wall)
-        self.period_ns = int(period_ns)
         self.top = int(top)
 
 
@@ -193,17 +173,36 @@ def _generator_behind_event(event: Any, depth: int) -> Optional[Any]:
     return None
 
 
+def _innermost(generator: Any) -> Any:
+    """Follow ``yield from`` delegation down to the generator a resume
+    actually runs.
+
+    A suspended generator's ``gi_yieldfrom`` is the sub-generator it is
+    delegating to, so resuming the outer one resumes the innermost; the
+    walk stops at the first delegate that is not a generator.
+    """
+    inner = generator.gi_yieldfrom
+    while inner is not None and hasattr(inner, "gi_code"):
+        generator = inner
+        inner = generator.gi_yieldfrom
+    return generator
+
+
 # ----------------------------------------------------------------------
 # The profiler
 # ----------------------------------------------------------------------
 class Profiler(Recorder):
-    """Event-attribution + queue-introspection recorder.
+    """Event-attribution recorder plus three event-queue counters.
 
     One instance profiles every simulator attached to its
-    :class:`~repro.obs.core.Observability` bundle; per-sim scoping
-    mirrors telemetry (each fresh simulator gets the next pid in the
-    private recorder).  All counts are exact and deterministic; wall
-    nanoseconds are host measurements and vary run to run.
+    :class:`~repro.obs.core.Observability` bundle.  All counts are exact
+    and deterministic; wall nanoseconds are host measurements and vary
+    run to run.
+
+    The engine hooks (:meth:`note_insert`, :meth:`note_stale`,
+    :meth:`dispatch`, and the recorder's ``new_sim``) keep their
+    signatures even where this class ignores an argument: subclasses
+    override them to time dispatches their own way.
     """
 
     def __init__(self, config: Optional[ProfilerConfig] = None) -> None:
@@ -212,31 +211,14 @@ class Profiler(Recorder):
         self.events: Dict[CallSite, int] = {}
         #: site -> sampled wall nanoseconds (empty when wall is off).
         self.wall_ns: Dict[CallSite, int] = {}
-        # Queue introspection counters.
         self.inserts = 0
-        self.dispatches = 0
         self.stale_wakeups = 0
-        self.trampoline_hops = 0
         self.peak_depth = 0
-        #: Heap-sift cost proxy: sum of log2(depth) over every push/pop —
-        #: proportional to the comparisons a binary heap performs.
-        self.sift_cost = 0
-        self.batches = 0
-        self.batch_sizes = TailDigest()
-        # Time-resolved introspection series (rendered by the existing
-        # telemetry HTML/CSV exporters unchanged).
-        self.telemetry = Telemetry(
-            TelemetryConfig(period_ns=self.config.period_ns)
-        )
         self._wall = self.config.wall
-        # Per-sim dispatch state.
-        self._tick = -1
-        self._batch_n = 0
         # Attribution cache: code object (or plain callable) -> site.
         # Keyed by identity on objects that live for the whole run, so
         # the cache never aliases; dropped on pickle (not serializable).
         self._sites: Dict[Any, CallSite] = {}
-        self._refresh_series()
 
     # ------------------------------------------------------------------
     # Pickling: sweep workers receive and return whole bundles.  The
@@ -247,42 +229,13 @@ class Profiler(Recorder):
         return {**self.__dict__, "_sites": {}}
 
     # ------------------------------------------------------------------
-    # Sim lifecycle
-    # ------------------------------------------------------------------
-    def _refresh_series(self) -> None:
-        self._depth_series = self.telemetry.series(
-            "prof.queue.depth", "level", "callbacks"
-        )
-        self._dispatch_series = self.telemetry.series(
-            "prof.events.dispatched", "rate", "events"
-        )
-        self._hop_series = self.telemetry.series(
-            "prof.trampoline.hops", "rate", "resumes"
-        )
-
-    def new_sim(self) -> None:
-        """A fresh simulator attached: seal batch state, advance the pid."""
-        self._flush_batch()
-        self._tick = -1
-        self.telemetry.new_sim()
-        self._refresh_series()
-
-    def _flush_batch(self) -> None:
-        if self._batch_n:
-            self.batches += 1
-            self.batch_sizes.observe(float(self._batch_n))
-            self._batch_n = 0
-
-    # ------------------------------------------------------------------
     # Engine hooks (hot path — only reached while profiling is on)
     # ------------------------------------------------------------------
     def note_insert(self, now_ns: int, when_ns: int, depth: int) -> None:
         """A callback was pushed; ``depth`` is the queue length after."""
         self.inserts += 1
-        self.sift_cost += depth.bit_length()
         if depth > self.peak_depth:
             self.peak_depth = depth
-        self._depth_series.record(now_ns, float(depth))
 
     def note_stale(self) -> None:
         """A process received a wakeup from a detached (stale) event."""
@@ -297,20 +250,8 @@ class Profiler(Recorder):
     ) -> None:
         """Attribute and run one popped callback (``depth`` is the queue
         length after the pop)."""
-        self.dispatches += 1
-        self.sift_cost += depth.bit_length()
-        self._depth_series.record(when_ns, float(depth))
-        self._dispatch_series.add(when_ns, 1.0)
-        if when_ns != self._tick:
-            self._flush_batch()
-            self._tick = when_ns
-        self._batch_n += 1
-
         site = self._site_of(callback)
         self.events[site] = self.events.get(site, 0) + 1
-        if site.kind == "process":
-            self.trampoline_hops += 1
-            self._hop_series.add(when_ns, 1.0)
         if self._wall:
             started = time.perf_counter_ns()
             callback(*args)
@@ -326,6 +267,7 @@ class Profiler(Recorder):
     def _site_of(self, callback: Callable[..., Any]) -> CallSite:
         generator = _generator_of(callback)
         if generator is not None:
+            generator = _innermost(generator)
             code = generator.gi_code
             site = self._sites.get(code)
             if site is None:
@@ -376,7 +318,6 @@ class Profiler(Recorder):
 
     def hotspots(self, top: Optional[int] = None) -> List[Dict[str, Any]]:
         """Per-site rows, heaviest first (exact counts; deterministic)."""
-        self._flush_batch()
         total_events = self.total_events
         total_wall = sum(self.wall_ns.values())
         rows: List[Dict[str, Any]] = []
@@ -413,72 +354,27 @@ class Profiler(Recorder):
             key=lambda item: (order.get(item[0], len(order)), item[0]),
         )
 
-    def queue_stats(self) -> Dict[str, Any]:
-        """Queue-introspection summary (exact, deterministic counts)."""
-        self._flush_batch()
-        digest = self.batch_sizes
-        return {
-            "inserts": self.inserts,
-            "dispatches": self.dispatches,
-            "stale_wakeups": self.stale_wakeups,
-            "trampoline_hops": self.trampoline_hops,
-            "peak_depth": self.peak_depth,
-            "sift_cost": self.sift_cost,
-            "batches": self.batches,
-            "batch_mean": digest.mean,
-            "batch_p99": digest.quantile(0.99),
-            "batch_max": digest.max if digest.max is not None else 0.0,
-        }
-
     # ------------------------------------------------------------------
     # Merging (sweep worker-bundle path)
     # ------------------------------------------------------------------
     def absorb(self, other: "Profiler") -> None:
         """Merge a worker profiler; absorbed in point order by the sweep
         engine, so merged counts equal what a serial run produces."""
-        other._flush_batch()
-        self._flush_batch()
         for site, count in other.events.items():
             self.events[site] = self.events.get(site, 0) + count
         for site, wall in other.wall_ns.items():
             self.wall_ns[site] = self.wall_ns.get(site, 0) + wall
         self.inserts += other.inserts
-        self.dispatches += other.dispatches
         self.stale_wakeups += other.stale_wakeups
-        self.trampoline_hops += other.trampoline_hops
         self.peak_depth = max(self.peak_depth, other.peak_depth)
-        self.sift_cost += other.sift_cost
-        self.batches += other.batches
-        self.batch_sizes.merge(other.batch_sizes)
-        self.telemetry.absorb(other.telemetry)
-        self._refresh_series()
 
 
 class NullProfiler:
-    """The zero-cost default: the simulator stores ``None`` instead of
-    this on its hot-path slot, so these methods exist only for API
-    completeness (export helpers accept either)."""
+    """The zero-cost default: not a recorder, so the bundle skips it and
+    the simulator stores ``None`` on its hot-path slot."""
 
     enabled = False
     config: Optional[ProfilerConfig] = None
-    events: Dict[CallSite, int] = {}
-    wall_ns: Dict[CallSite, int] = {}
-
-    def note_insert(self, now_ns: int, when_ns: int, depth: int) -> None:
-        pass
-
-    def note_stale(self) -> None:
-        pass
-
-    def hotspots(self, top: Optional[int] = None) -> List[Dict[str, Any]]:
-        return []
-
-    def attributed_share(self) -> float:
-        return 0.0
-
-    @property
-    def total_events(self) -> int:
-        return 0
 
 
 NULL_PROFILER = NullProfiler()
@@ -528,20 +424,12 @@ def hotspot_table(profiler: Profiler, top: Optional[int] = None) -> str:
 
 
 def queue_report(profiler: Profiler) -> str:
-    """Event-queue introspection summary as aligned text."""
-    stats = profiler.queue_stats()
+    """The event-queue counters as aligned text."""
     lines = [
-        f"queue inserts          {stats['inserts']:>12,}",
-        f"queue dispatches       {stats['dispatches']:>12,}",
-        f"stale wakeups          {stats['stale_wakeups']:>12,}",
-        f"trampoline hops        {stats['trampoline_hops']:>12,}",
-        f"peak queue depth       {stats['peak_depth']:>12,}",
-        f"heap-sift cost proxy   {stats['sift_cost']:>12,}",
-        f"same-tick batches      {stats['batches']:>12,}",
-        (
-            f"batch size             mean={stats['batch_mean']:.2f} "
-            f"p99={stats['batch_p99']:.2f} max={stats['batch_max']:.0f}"
-        ),
+        f"queue inserts          {profiler.inserts:>12,}",
+        f"queue dispatches       {profiler.total_events:>12,}",
+        f"stale wakeups          {profiler.stale_wakeups:>12,}",
+        f"peak queue depth       {profiler.peak_depth:>12,}",
     ]
     return "\n".join(lines)
 

@@ -432,7 +432,7 @@ class TestCliValidation:
             ["trace", "fig04a", "--telemetry-period", "0"],
             ["trace", "fig04a", "--telemetry-period", "-5"],
             ["profile", "fig04a", "--top", "0"],
-            ["profile", "fig04a", "--period", "-1"],
+            ["profile", "fig04a", "--scale", "-1"],
             ["perf", "fig04a", "--threshold", "0"],
             ["fig04a", "--fault-seed", "-1"],
             ["blame", "fig04a", "--top", "0"],

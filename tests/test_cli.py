@@ -267,13 +267,20 @@ class TestProfileSubcommand:
         out = capsys.readouterr().out
         assert "hotspots: fig14b" in out
         assert "attributed" in out
-        assert "trampoline hops" in out
+        assert "queue dispatches" in out
         doc = json.loads(speedscope.read_text())
         assert doc["profiles"][0]["samples"]
         assert collapsed.read_text().strip()
 
     def test_profile_rejects_unknown_figure(self, capsys):
         assert main(["profile", "fig99"]) == 2
+
+    @pytest.mark.parametrize("option", ["--timeline", "--period"])
+    def test_removed_queue_series_options_are_unknown(self, option, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["profile", "fig14b", option, "1"])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
     def test_perf_profile_folds_hotspots_into_doc(self, tmp_path, capsys):
         import json

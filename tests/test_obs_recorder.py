@@ -39,7 +39,7 @@ def config_fields(config):
 def full_bundle():
     return Observability(
         telemetry=TelemetryConfig(period_ns=5_000, capacity=64, series=("nvme.",)),
-        profile=ProfilerConfig(wall=False, period_ns=7_000, top=3),
+        profile=ProfilerConfig(wall=False, top=3),
         blame=BlameConfig(top=4, slos=(SloSpec.parse("read:150us@0.99"),)),
     )
 

@@ -136,7 +136,7 @@ def make_sim(variant, monkeypatch):
 def check_variant(sim, variant, log):
     """The variant really took its branch for every dispatched callback."""
     if variant == "profiled":
-        assert sim.obs.profiler.dispatches == len(log)
+        assert sim.obs.profiler.total_events == len(log)
     if variant == "sanitized":
         assert sim.sanitize
 
