@@ -174,17 +174,13 @@ class FileSystemOverNbd:
         from repro.host.accounting import ExecMode
         from repro.ssd.device import IoOp
 
-        costs = self.costs
-        self.accounting.charge(
-            costs.user_io_prep.ns, ExecMode.USER, "fio", "fio_rw",
-            loads=costs.user_io_prep.loads, stores=costs.user_io_prep.stores,
-        )
-        yield self.sim.timeout(costs.user_io_prep.ns)
+        prep = self.accounting.charge(self.costs.user_io_prep, ExecMode.USER, "fio", "fio_rw")
+        yield self.sim.timeout(prep)
         if op is IoOp.READ:
             latency = yield from self.fs.read(offset, nbytes)
         else:
             latency = yield from self.fs.write(offset, nbytes)
-        return latency + costs.user_io_prep.ns
+        return latency + prep
 
 
 @runner("nbd")

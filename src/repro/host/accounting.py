@@ -1,8 +1,10 @@
 """VTune-style attribution of CPU time and memory instructions.
 
-Every piece of host software work in the simulation is *charged* to a
-``(mode, module, function)`` label together with the load/store
-instructions it executes.  The experiment harness then renders:
+Every piece of host software work in the simulation is *charged* as a
+:class:`~repro.host.costs.StepCost` to a ``(mode, module, function)``
+label.  Computed costs (spin shares, the preemption penalty) build a
+``StepCost`` too, so its non-negative check covers every booking.  The
+experiment harness then renders:
 
 * CPU utilization split user/kernel (Figs. 12, 13, 20) — busy time over
   wall time;
@@ -11,7 +13,12 @@ instructions it executes.  The experiment harness then renders:
   (Figs. 15, 21, 22).
 
 Charging records bookkeeping only; advancing simulated time is the
-caller's job (the stack processes yield matching timeouts).
+caller's job.  :meth:`CpuAccounting.charge` returns the step's ``ns``,
+so a stack process sums the steps of one *segment* — a run of pure CPU
+steps between two real waits (a device submit or completion, a CQE
+wait, a poll spin, a sleep, a link send) — and yields one timeout for
+the sum: ``yield sim.timeout(charge(a, ...) + charge(b, ...))``.  Each
+step is still booked once, in path order; only the event count falls.
 """
 
 from __future__ import annotations
@@ -19,7 +26,9 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
+
+from repro.host.costs import StepCost
 
 
 class ExecMode(enum.Enum):
@@ -45,30 +54,21 @@ class CpuAccounting:
     """Accumulates attributed CPU time and memory instructions."""
 
     def __init__(self) -> None:
-        self._cycles: Dict[Tuple[ExecMode, str, str], int] = defaultdict(int)
-        self._loads: Dict[Tuple[ExecMode, str, str], int] = defaultdict(int)
-        self._stores: Dict[Tuple[ExecMode, str, str], int] = defaultdict(int)
+        #: ``[ns, loads, stores]`` per label, in first-charge order.
+        self._slots: Dict[Tuple[ExecMode, str, str], List[int]] = {}
 
     # ------------------------------------------------------------------
-    def charge(
-        self,
-        ns: int,
-        mode: ExecMode,
-        module: str,
-        function: str,
-        *,
-        loads: int = 0,
-        stores: int = 0,
-    ) -> int:
-        """Attribute ``ns`` of CPU time (and instructions); returns ``ns``
-        so call sites can pass it straight into a timeout."""
-        if ns < 0 or loads < 0 or stores < 0:
-            raise ValueError("charges must be non-negative")
+    def charge(self, step: StepCost, mode: ExecMode, module: str, function: str) -> int:
+        """Attribute one step's CPU time and instructions; returns its
+        ``ns`` so call sites can sum a segment into one timeout."""
         key = (mode, module, function)
-        self._cycles[key] += ns
-        self._loads[key] += loads
-        self._stores[key] += stores
-        return ns
+        slot = self._slots.get(key)
+        if slot is None:
+            slot = self._slots[key] = [0, 0, 0]
+        slot[0] += step.ns
+        slot[1] += step.loads
+        slot[2] += step.stores
+        return step.ns
 
     # ------------------------------------------------------------------
     # Cycle views
@@ -76,7 +76,7 @@ class CpuAccounting:
     def busy_ns(self, mode: ExecMode = None) -> int:
         """Total attributed CPU time, optionally filtered by mode."""
         return sum(
-            ns for (m, _, _), ns in self._cycles.items() if mode is None or m is mode
+            slot[0] for (m, _, _), slot in self._slots.items() if mode is None or m is mode
         )
 
     def utilization(self, elapsed_ns: int, mode: ExecMode = None) -> float:
@@ -87,16 +87,16 @@ class CpuAccounting:
 
     def cycles_by_module(self, mode: ExecMode = None) -> Dict[str, int]:
         out: Dict[str, int] = defaultdict(int)
-        for (m, module, _), ns in self._cycles.items():
+        for (m, module, _), slot in self._slots.items():
             if mode is None or m is mode:
-                out[module] += ns
+                out[module] += slot[0]
         return dict(out)
 
     def cycles_by_function(self, mode: ExecMode = None) -> Dict[str, int]:
         out: Dict[str, int] = defaultdict(int)
-        for (m, _, function), ns in self._cycles.items():
+        for (m, _, function), slot in self._slots.items():
             if mode is None or m is mode:
-                out[function] += ns
+                out[function] += slot[0]
         return dict(out)
 
     def cycle_share_by_function(self, mode: ExecMode = None) -> Dict[str, float]:
@@ -111,21 +111,21 @@ class CpuAccounting:
     # Instruction views
     # ------------------------------------------------------------------
     def total_loads(self) -> int:
-        return sum(self._loads.values())
+        return sum(slot[1] for slot in self._slots.values())
 
     def total_stores(self) -> int:
-        return sum(self._stores.values())
+        return sum(slot[2] for slot in self._slots.values())
 
     def loads_by_function(self) -> Dict[str, int]:
         out: Dict[str, int] = defaultdict(int)
-        for (_, _, function), count in self._loads.items():
-            out[function] += count
+        for (_, _, function), slot in self._slots.items():
+            out[function] += slot[1]
         return dict(out)
 
     def stores_by_function(self) -> Dict[str, int]:
         out: Dict[str, int] = defaultdict(int)
-        for (_, _, function), count in self._stores.items():
-            out[function] += count
+        for (_, _, function), slot in self._slots.items():
+            out[function] += slot[2]
         return dict(out)
 
     def load_share_by_function(self) -> Dict[str, float]:
@@ -151,10 +151,10 @@ class CpuAccounting:
                 module=module,
                 function=function,
                 cycles_ns=ns,
-                loads=self._loads.get((mode, module, function), 0),
-                stores=self._stores.get((mode, module, function), 0),
+                loads=loads,
+                stores=stores,
             )
-            for (mode, module, function), ns in self._cycles.items()
+            for (mode, module, function), (ns, loads, stores) in self._slots.items()
         ]
         rows.sort(key=lambda row: row.cycles_ns, reverse=True)
         return rows

@@ -2,7 +2,9 @@
 
 Each engine is a generator that runs from "command submitted" to "request
 completed back through blk-mq", charging CPU time and memory instructions
-to the functions the paper's profiler attributes them to.
+to the functions the paper's profiler attributes them to.  ``complete``
+returns the CPU time of its closing steps, booked but not yet waited, so
+the caller folds its own next steps into the same timeout.
 
 * :class:`InterruptEngine` — the process context-switches away; the MSI
   arrives, the ISR runs, the scheduler switches back.
@@ -32,7 +34,7 @@ from repro.host.accounting import CpuAccounting, ExecMode
 from repro.host.costs import SoftwareCosts, StepCost
 from repro.kstack.driver import DriverRequest, KernelNvmeDriver
 from repro.sim.engine import Simulator
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Event
 
 
 class CompletionMethod(enum.Enum):
@@ -79,15 +81,6 @@ class _EngineBase:
         )
 
     # ------------------------------------------------------------------
-    def _charge_and_wait(
-        self, step: StepCost, mode: ExecMode, module: str, function: str
-    ) -> Timeout:
-        """Charge one step and advance the clock by its duration."""
-        self.accounting.charge(
-            step.ns, mode, module, function, loads=step.loads, stores=step.stores
-        )
-        return self.sim.timeout(step.ns)
-
     def _spin_until_cqe(
         self, driver_request: DriverRequest
     ) -> Generator[Event, Any, int]:
@@ -122,12 +115,14 @@ class _EngineBase:
             penalty = int(over * costs.poll_preempt_rate)
             density = costs.bg_yield
             self.accounting.charge(
-                penalty,
+                StepCost(
+                    penalty,
+                    int(density.loads * penalty / density.ns),
+                    int(density.stores * penalty / density.ns),
+                ),
                 ExecMode.KERNEL,
                 "sched",
                 "deferred_kernel_work",
-                loads=int(density.loads * penalty / density.ns),
-                stores=int(density.stores * penalty / density.ns),
             )
             self._m_deferred_ns.inc(penalty)
             if pending.trace is not None:
@@ -143,35 +138,28 @@ class _EngineBase:
         period = costs.kernel_poll_iter_ns
         iters = max(1, round(spun_ns / period))
         self._m_spin_iters.inc(iters)
-        blk_share = costs.blk_mq_poll_iter.ns / period
+        blk, nvme = costs.blk_mq_poll_iter, costs.nvme_poll_iter
+        blk_ns = int(round(spun_ns * (blk.ns / period)))
         self.accounting.charge(
-            int(round(spun_ns * blk_share)),
+            StepCost(blk_ns, iters * blk.loads, iters * blk.stores),
             ExecMode.KERNEL,
             "blk-mq",
             "blk_mq_poll",
-            loads=iters * costs.blk_mq_poll_iter.loads,
-            stores=iters * costs.blk_mq_poll_iter.stores,
         )
         self.accounting.charge(
-            spun_ns - int(round(spun_ns * blk_share)),
+            StepCost(spun_ns - blk_ns, iters * nvme.loads, iters * nvme.stores),
             ExecMode.KERNEL,
             "nvme-driver",
             "nvme_poll",
-            loads=iters * costs.nvme_poll_iter.loads,
-            stores=iters * costs.nvme_poll_iter.stores,
         )
 
-    def _finish(
-        self, driver: KernelNvmeDriver, driver_request: DriverRequest
-    ) -> Generator[Event, Any, None]:
-        """Complete the request through blk-mq (poll flavors)."""
+    def _finish(self, driver: KernelNvmeDriver, driver_request: DriverRequest) -> int:
+        """Complete the request through blk-mq (poll flavors); returns
+        the completion step's CPU time, booked but not yet waited."""
         completed = driver.nvme_poll(driver_request.blk_request.cookie)
         assert completed is not None, "poll finished before CQE?"
-        yield self._charge_and_wait(
-            self.costs.poll_complete,
-            ExecMode.KERNEL,
-            "blk-mq",
-            "blk_mq_complete_request",
+        return self.accounting.charge(
+            self.costs.poll_complete, ExecMode.KERNEL, "blk-mq", "blk_mq_complete_request"
         )
 
 
@@ -182,13 +170,14 @@ class InterruptEngine(_EngineBase):
 
     def complete(
         self, driver: KernelNvmeDriver, driver_request: DriverRequest
-    ) -> Generator[Event, Any, None]:
+    ) -> Generator[Event, Any, int]:
         costs = self.costs
+        charge = self.accounting.charge
         pending = driver_request.pending
         # Switch away; the core is free for other work while the device runs.
         self._m_ctx_switches.inc()
-        yield self._charge_and_wait(
-            costs.context_switch_out, ExecMode.KERNEL, "sched", "context_switch"
+        yield self.sim.timeout(
+            charge(costs.context_switch_out, ExecMode.KERNEL, "sched", "context_switch")
         )
         cqe_event = pending.cqe_event
         if not cqe_event.triggered:
@@ -197,18 +186,17 @@ class InterruptEngine(_EngineBase):
             # CQE landed; MSI flight, ISR, and wake-up follow.
             pending.trace.phase("completion_isr", pending.cqe_ns)
         # MSI flight, then the ISR completes the command.
-        yield self.sim.timeout(costs.irq_delivery_ns)
         self._m_isr.inc()
-        yield self._charge_and_wait(
-            costs.isr, ExecMode.KERNEL, "nvme-driver", "nvme_irq"
+        yield self.sim.timeout(
+            costs.irq_delivery_ns
+            + charge(costs.isr, ExecMode.KERNEL, "nvme-driver", "nvme_irq")
         )
         driver.complete_by_cid(driver_request.pending.command.cid)
-        yield self._charge_and_wait(
-            costs.context_switch_in, ExecMode.KERNEL, "sched", "context_switch"
-        )
-        yield self._charge_and_wait(
+        ns = charge(costs.context_switch_in, ExecMode.KERNEL, "sched", "context_switch")
+        ns += charge(
             costs.blkmq_complete, ExecMode.KERNEL, "blk-mq", "blk_mq_complete_request"
         )
+        return ns
 
 
 class PollEngine(_EngineBase):
@@ -218,9 +206,9 @@ class PollEngine(_EngineBase):
 
     def complete(
         self, driver: KernelNvmeDriver, driver_request: DriverRequest
-    ) -> Generator[Event, Any, None]:
+    ) -> Generator[Event, Any, int]:
         yield from self._spin_until_cqe(driver_request)
-        yield from self._finish(driver, driver_request)
+        return self._finish(driver, driver_request)
 
 
 class HybridPollEngine(_EngineBase):
@@ -249,12 +237,18 @@ class HybridPollEngine(_EngineBase):
 
     def complete(
         self, driver: KernelNvmeDriver, driver_request: DriverRequest
-    ) -> Generator[Event, Any, None]:
+    ) -> Generator[Event, Any, int]:
         costs = self.costs
+        charge = self.accounting.charge
         wait_started = self.sim.now
         cqe_event = driver_request.pending.cqe_event
-        yield self._charge_and_wait(
-            costs.hybrid_timer_setup, ExecMode.KERNEL, "blk-mq", "blk_mq_poll_hybrid_sleep"
+        yield self.sim.timeout(
+            charge(
+                costs.hybrid_timer_setup,
+                ExecMode.KERNEL,
+                "blk-mq",
+                "blk_mq_poll_hybrid_sleep",
+            )
         )
         sleep_ns = (
             int(self._mean_wait_ns * self.sleep_fraction)
@@ -271,13 +265,10 @@ class HybridPollEngine(_EngineBase):
                 driver_request.pending.trace.annotate(
                     "hybrid_sleep", slept_from, self.sim.now
                 )
-            yield self._charge_and_wait(
-                costs.hybrid_wakeup, ExecMode.KERNEL, "sched", "timer_wakeup"
-            )
+            ns = charge(costs.hybrid_wakeup, ExecMode.KERNEL, "sched", "timer_wakeup")
             # Poll state comes back cache-cold after the sleep.
-            yield self._charge_and_wait(
-                costs.hybrid_cold_detect, ExecMode.KERNEL, "blk-mq", "blk_mq_poll"
-            )
+            ns += charge(costs.hybrid_cold_detect, ExecMode.KERNEL, "blk-mq", "blk_mq_poll")
+            yield self.sim.timeout(ns)
         if cqe_event.triggered:
             # Overslept: the CQE beat us; pay one observing iteration.
             if driver_request.pending.trace is not None:
@@ -291,7 +282,7 @@ class HybridPollEngine(_EngineBase):
         else:
             yield from self._spin_until_cqe(driver_request)
         self._update_mean(driver_request, wait_started)
-        yield from self._finish(driver, driver_request)
+        return self._finish(driver, driver_request)
 
     def _update_mean(self, driver_request: DriverRequest, wait_started: int) -> None:
         cqe_ns = driver_request.pending.cqe_ns

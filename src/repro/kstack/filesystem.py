@@ -23,7 +23,7 @@ import numpy as np
 from repro.host.accounting import CpuAccounting, ExecMode
 from repro.host.costs import StepCost
 from repro.sim.engine import Simulator
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Event
 from repro.ssd.device import IoOp
 from repro.units import Bytes
 
@@ -95,17 +95,6 @@ class Ext4Model:
         """First byte usable for file data."""
         return self._meta_blocks * self.costs.metadata_block_bytes
 
-    def _charge_and_wait(self, step: StepCost, function: str) -> Timeout:
-        self.accounting.charge(
-            step.ns,
-            ExecMode.KERNEL,
-            "ext4",
-            function,
-            loads=step.loads,
-            stores=step.stores,
-        )
-        return self.sim.timeout(step.ns)
-
     def _meta_offset(self, key: int) -> int:
         block = key % self._meta_blocks
         return block * self.costs.metadata_block_bytes
@@ -115,23 +104,32 @@ class Ext4Model:
         """Process: file read.  Returns application latency (ns)."""
         costs = self.costs
         started = self.sim.now
-        yield self._charge_and_wait(costs.inode_lookup, "ext4_file_read_iter")
+        charge = self.accounting.charge
+        kernel = ExecMode.KERNEL
+        yield self.sim.timeout(
+            charge(costs.inode_lookup, kernel, "ext4", "ext4_file_read_iter")
+        )
         if self._rng.random() < costs.metadata_miss_prob:
             self.metadata_reads += 1
             yield from self.block_io(
                 IoOp.READ, self._meta_offset(offset), costs.metadata_block_bytes
             )
         yield from self.block_io(IoOp.READ, self.data_base + offset, nbytes)
-        yield self._charge_and_wait(costs.atime_update, "ext4_update_atime")
+        yield self.sim.timeout(
+            charge(costs.atime_update, kernel, "ext4", "ext4_update_atime")
+        )
         return self.sim.now - started
 
     def write(self, offset: Bytes, nbytes: int) -> Generator[Event, Any, int]:
         """Process: file write with journaling.  Returns latency (ns)."""
         costs = self.costs
         started = self.sim.now
-        yield self._charge_and_wait(costs.inode_lookup, "ext4_file_write_iter")
-        yield self._charge_and_wait(costs.write_prepare, "ext4_map_blocks")
-        yield self._charge_and_wait(costs.journal_memcpy, "jbd2_journal_dirty")
+        charge = self.accounting.charge
+        kernel = ExecMode.KERNEL
+        ns = charge(costs.inode_lookup, kernel, "ext4", "ext4_file_write_iter")
+        ns += charge(costs.write_prepare, kernel, "ext4", "ext4_map_blocks")
+        ns += charge(costs.journal_memcpy, kernel, "ext4", "jbd2_journal_dirty")
+        yield self.sim.timeout(ns)
         yield from self.block_io(IoOp.WRITE, self.data_base + offset, nbytes)
         self._writes_since_commit += 1
         self._writes_since_writeback += 1

@@ -12,13 +12,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator, List, Optional, Tuple
 
 from repro.host.accounting import CpuAccounting, ExecMode
-from repro.host.costs import DEFAULT_COSTS, SoftwareCosts, StepCost
+from repro.host.costs import DEFAULT_COSTS, SoftwareCosts
 from repro.kstack.blkmq import BlkMq
 from repro.kstack.completion import CompletionMethod, make_engine
 from repro.kstack.driver import DriverRequest, KernelNvmeDriver
 from repro.nvme.controller import NvmeController, NvmeQueuePair, NvmeTimings
 from repro.sim.engine import Simulator
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Event
 from repro.ssd.device import IoOp, SsdDevice
 from repro.units import Bytes
 
@@ -94,14 +94,6 @@ class KernelStack:
         """Polled submissions carry the high-priority flag."""
         return self.completion_method is not CompletionMethod.INTERRUPT
 
-    def _charge_and_wait(
-        self, step: StepCost, mode: ExecMode, module: str, function: str
-    ) -> Timeout:
-        self.accounting.charge(
-            step.ns, mode, module, function, loads=step.loads, stores=step.stores
-        )
-        return self.sim.timeout(step.ns)
-
     # ------------------------------------------------------------------
     def sync_io(
         self, op: IoOp, offset: Bytes, nbytes: int
@@ -120,16 +112,16 @@ class KernelStack:
         )
         if ctx is not None:
             ctx.phase("submit", started)
-        yield self._charge_and_wait(costs.user_io_prep, ExecMode.USER, "fio", "fio_rw")
-        yield from self._submit_path(op, offset, nbytes, ctx)
+        charge = self.accounting.charge
+        prep = charge(costs.user_io_prep, ExecMode.USER, "fio", "fio_rw")
+        yield from self._submit_path(prep, ctx)
         request = self.driver.submit(
             0, op, offset, nbytes, hipri=self.hipri, now_ns=self.sim.now, trace=ctx
         )
         submitted = self.sim.now
-        yield from self.engine.complete(self.driver, request)
-        yield self._charge_and_wait(
-            costs.syscall_exit, ExecMode.KERNEL, "vfs", "syscall"
-        )
+        ns = yield from self.engine.complete(self.driver, request)
+        ns += charge(costs.syscall_exit, ExecMode.KERNEL, "vfs", "syscall")
+        yield self.sim.timeout(ns)
         if self.stage_log is not None:
             self.stage_log.append(
                 (started, submitted, request.pending.cqe_ns, self.sim.now)
@@ -139,43 +131,42 @@ class KernelStack:
         return self.sim.now - started
 
     def _submit_path(
-        self,
-        op: IoOp,
-        offset: int,
-        nbytes: int,
-        ctx: "Optional[IoTrace]" = None,
+        self, ns: int, ctx: "Optional[IoTrace]" = None
     ) -> Generator[Event, Any, None]:
+        """Process: syscall entry through the doorbell, as one segment.
+
+        ``ns`` is CPU time the caller booked but has not waited yet; it
+        opens the segment.  A requeue check splits it in two.
+        """
         costs = self.costs
-        yield self._charge_and_wait(
-            costs.syscall_entry, ExecMode.KERNEL, "vfs", "syscall"
-        )
-        yield self._charge_and_wait(costs.vfs_submit, ExecMode.KERNEL, "vfs", "vfs_rw")
+        charge = self.accounting.charge
+        start = self.sim.now
+        ns += charge(costs.syscall_entry, ExecMode.KERNEL, "vfs", "syscall")
+        ns += charge(costs.vfs_submit, ExecMode.KERNEL, "vfs", "vfs_rw")
         if self.thin_submit:
             # Lightweight-protocol dispatch: no blk-mq tag machinery, no
             # SQE build — the driver latches the command into device
             # registers directly (Section IV-C's "lighter queue").
             if ctx is not None:
-                ctx.phase("light_queue", self.sim.now)
-            yield self._charge_and_wait(
+                ctx.phase("light_queue", start + ns)
+            ns += charge(
                 costs.light_queue_dispatch,
                 ExecMode.KERNEL,
                 "nvme-driver",
                 "light_queue_issue",
             )
+            yield self.sim.timeout(ns)
             return
         if ctx is not None:
-            ctx.phase("blkmq_queue", self.sim.now)
-        yield self._charge_and_wait(
-            costs.blkmq_submit, ExecMode.KERNEL, "blk-mq", "blk_mq_make_request"
-        )
+            ctx.phase("blkmq_queue", start + ns)
+        ns += charge(costs.blkmq_submit, ExecMode.KERNEL, "blk-mq", "blk_mq_make_request")
         if self._requeue_faults is not None:
+            yield self.sim.timeout(ns)
+            ns = 0
             yield from self._maybe_requeue(ctx)
-        yield self._charge_and_wait(
-            costs.nvme_driver_submit, ExecMode.KERNEL, "nvme-driver", "nvme_queue_rq"
-        )
-        yield self._charge_and_wait(
-            costs.doorbell_write, ExecMode.KERNEL, "nvme-driver", "doorbell_write"
-        )
+        ns += charge(costs.nvme_driver_submit, ExecMode.KERNEL, "nvme-driver", "nvme_queue_rq")
+        ns += charge(costs.doorbell_write, ExecMode.KERNEL, "nvme-driver", "doorbell_write")
+        yield self.sim.timeout(ns)
 
     def _maybe_requeue(
         self, ctx: "Optional[IoTrace]" = None
@@ -213,12 +204,7 @@ class KernelStack:
                     attempt=attempt,
                 )
             self.accounting.charge(
-                costs.blkmq_submit.ns,
-                ExecMode.KERNEL,
-                "blk-mq",
-                "blk_mq_requeue_work",
-                loads=costs.blkmq_submit.loads,
-                stores=costs.blkmq_submit.stores,
+                costs.blkmq_submit, ExecMode.KERNEL, "blk-mq", "blk_mq_requeue_work"
             )
             yield self.sim.timeout(delay)
 
@@ -239,16 +225,14 @@ class KernelStack:
             if tracer.enabled
             else None
         )
+        charge = self.accounting.charge
         if ctx is not None:
             ctx.phase("submit", self.sim.now)
-        yield self._charge_and_wait(
-            costs.async_submit_user, ExecMode.USER, "fio", "io_submit"
-        )
+        ns = charge(costs.async_submit_user, ExecMode.USER, "fio", "io_submit")
         if ctx is not None:
-            ctx.phase("blkmq_queue", self.sim.now)
-        yield self._charge_and_wait(
-            costs.async_submit_kernel, ExecMode.KERNEL, "blk-mq", "aio_submit_path"
-        )
+            ctx.phase("blkmq_queue", self.sim.now + ns)
+        ns += charge(costs.async_submit_kernel, ExecMode.KERNEL, "blk-mq", "aio_submit_path")
+        yield self.sim.timeout(ns)
         if self._requeue_faults is not None:
             yield from self._maybe_requeue(ctx)
         request = self.driver.submit(
@@ -260,26 +244,11 @@ class KernelStack:
         """Charge and return the CQE-to-application completion delay for
         the interrupt-driven async path (MSI + ISR + io_getevents)."""
         costs = self.costs
-        self.accounting.charge(
-            costs.async_complete_kernel.ns,
-            ExecMode.KERNEL,
-            "nvme-driver",
-            "nvme_irq",
-            loads=costs.async_complete_kernel.loads,
-            stores=costs.async_complete_kernel.stores,
-        )
-        self.accounting.charge(
-            costs.user_async_reap.ns,
-            ExecMode.USER,
-            "fio",
-            "io_getevents",
-            loads=costs.user_async_reap.loads,
-            stores=costs.user_async_reap.stores,
-        )
+        charge = self.accounting.charge
         return (
             costs.irq_delivery_ns
-            + costs.async_complete_kernel.ns
-            + costs.user_async_reap.ns
+            + charge(costs.async_complete_kernel, ExecMode.KERNEL, "nvme-driver", "nvme_irq")
+            + charge(costs.user_async_reap, ExecMode.USER, "fio", "io_getevents")
         )
 
     def complete_async(self, request: DriverRequest) -> None:

@@ -32,7 +32,7 @@ from repro.host.accounting import CpuAccounting, ExecMode
 from repro.host.costs import DEFAULT_COSTS, SoftwareCosts, StepCost
 from repro.net.link import NetworkLink
 from repro.sim.engine import Simulator
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Event
 from repro.ssd.device import IoOp, SsdDevice
 from repro.units import Bytes
 
@@ -110,15 +110,6 @@ class NbdSystem:
         self.requests = 0
 
     # ------------------------------------------------------------------
-    def _charge_and_wait(
-        self, step: StepCost, mode: ExecMode, module: str, function: str
-    ) -> Timeout:
-        self.accounting.charge(
-            step.ns, mode, module, function, loads=step.loads, stores=step.stores
-        )
-        return self.sim.timeout(step.ns)
-
-    # ------------------------------------------------------------------
     def sync_io(
         self, op: IoOp, offset: Bytes, nbytes: int
     ) -> Generator[Event, Any, int]:
@@ -131,13 +122,12 @@ class NbdSystem:
         if ctx is not None:
             ctx.phase("submit", started)
         # Client: submission through the local kernel stack into nbd.ko.
-        yield self._charge_and_wait(
-            costs.syscall_entry, ExecMode.KERNEL, "vfs", "syscall"
-        )
-        yield self._charge_and_wait(costs.vfs_submit, ExecMode.KERNEL, "vfs", "vfs_rw")
-        yield self._charge_and_wait(
-            costs.blkmq_submit, ExecMode.KERNEL, "blk-mq", "blk_mq_make_request"
-        )
+        charge = self.accounting.charge
+        kernel = ExecMode.KERNEL
+        ns = charge(costs.syscall_entry, kernel, "vfs", "syscall")
+        ns += charge(costs.vfs_submit, kernel, "vfs", "vfs_rw")
+        ns += charge(costs.blkmq_submit, kernel, "blk-mq", "blk_mq_make_request")
+        yield self.sim.timeout(ns)
         # Request (+ payload for writes) to the server.
         request_bytes = NBD_HEADER_BYTES + (nbytes if op is IoOp.WRITE else 0)
         send_at = self.sim.now
@@ -162,16 +152,11 @@ class NbdSystem:
         # code either way — SPDK only bypasses the *server* side).
         if ctx is not None:
             ctx.phase("completion_isr", self.sim.now)
-        yield self.sim.timeout(self.costs.irq_delivery_ns)
-        yield self._charge_and_wait(
-            costs.blkmq_complete, ExecMode.KERNEL, "blk-mq", "blk_mq_complete_request"
-        )
-        yield self._charge_and_wait(
-            costs.context_switch_in, ExecMode.KERNEL, "sched", "context_switch"
-        )
-        yield self._charge_and_wait(
-            costs.syscall_exit, ExecMode.KERNEL, "vfs", "syscall"
-        )
+        ns = costs.irq_delivery_ns
+        ns += charge(costs.blkmq_complete, kernel, "blk-mq", "blk_mq_complete_request")
+        ns += charge(costs.context_switch_in, kernel, "sched", "context_switch")
+        ns += charge(costs.syscall_exit, kernel, "vfs", "syscall")
+        yield self.sim.timeout(ns)
         if ctx is not None:
             ctx.finish(self.sim.now)
         return self.sim.now - started
@@ -213,17 +198,14 @@ class NbdSystem:
         self, op: IoOp, offset: int, nbytes: int, ctx: "Optional[IoTrace]" = None
     ) -> Generator[Event, Any, None]:
         sc = self.server_costs
+        charge = self.accounting.charge
+        kernel = ExecMode.KERNEL
         if op is IoOp.READ:
-            yield self._charge_and_wait(
-                sc.kernel_socket_wakeup, ExecMode.KERNEL, "nbd-server", "socket_wakeup"
-            )
+            ns = charge(sc.kernel_socket_wakeup, kernel, "nbd-server", "socket_wakeup")
         else:
-            yield self._charge_and_wait(
-                sc.kernel_write_recv, ExecMode.KERNEL, "nbd-server", "stream_recv"
-            )
-        yield self._charge_and_wait(
-            sc.kernel_syscall_path, ExecMode.KERNEL, "nbd-server", "storage_stack"
-        )
+            ns = charge(sc.kernel_write_recv, kernel, "nbd-server", "stream_recv")
+        ns += charge(sc.kernel_syscall_path, kernel, "nbd-server", "storage_stack")
+        yield self.sim.timeout(ns)
         request = self.device.submit(op, offset, nbytes, trace=ctx)
         if not request.done.triggered:
             yield request.done
@@ -231,36 +213,26 @@ class NbdSystem:
             ctx.phase("server", self.sim.now)
         if op is IoOp.READ:
             # The server slept on flash: interrupt + process wake-up.
-            yield self._charge_and_wait(
-                sc.kernel_block_wakeup, ExecMode.KERNEL, "nbd-server", "block_wakeup"
-            )
-            yield self._charge_and_wait(
-                sc.kernel_reply_send, ExecMode.KERNEL, "nbd-server", "tcp_send"
-            )
+            ns = charge(sc.kernel_block_wakeup, kernel, "nbd-server", "block_wakeup")
+            ns += charge(sc.kernel_reply_send, kernel, "nbd-server", "tcp_send")
         else:
-            yield self._charge_and_wait(
-                sc.kernel_write_reply, ExecMode.KERNEL, "nbd-server", "tcp_send"
-            )
+            ns = charge(sc.kernel_write_reply, kernel, "nbd-server", "tcp_send")
+        yield self.sim.timeout(ns)
 
     def _spdk_server(
         self, op: IoOp, offset: int, nbytes: int, ctx: "Optional[IoTrace]" = None
     ) -> Generator[Event, Any, None]:
         sc = self.server_costs
-        yield self._charge_and_wait(
-            sc.spdk_poll_dispatch, ExecMode.USER, "spdk-nbd", "reactor_poll"
-        )
+        charge = self.accounting.charge
+        user = ExecMode.USER
+        ns = charge(sc.spdk_poll_dispatch, user, "spdk-nbd", "reactor_poll")
         if op is IoOp.WRITE:
-            yield self._charge_and_wait(
-                sc.spdk_write_copy, ExecMode.USER, "spdk-nbd", "hugepage_memcpy"
-            )
-        yield self._charge_and_wait(
-            sc.spdk_submit, ExecMode.USER, "spdk-nbd", "spdk_nvme_ns_cmd_rw"
-        )
+            ns += charge(sc.spdk_write_copy, user, "spdk-nbd", "hugepage_memcpy")
+        ns += charge(sc.spdk_submit, user, "spdk-nbd", "spdk_nvme_ns_cmd_rw")
+        yield self.sim.timeout(ns)
         request = self.device.submit(op, offset, nbytes, trace=ctx)
         if not request.done.triggered:
             yield request.done
         if ctx is not None:
             ctx.phase("server", self.sim.now)
-        yield self._charge_and_wait(
-            sc.spdk_reply_send, ExecMode.USER, "spdk-nbd", "dpdk_send"
-        )
+        yield self.sim.timeout(charge(sc.spdk_reply_send, user, "spdk-nbd", "dpdk_send"))

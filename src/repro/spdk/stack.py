@@ -20,7 +20,7 @@ from repro.host.accounting import CpuAccounting, ExecMode
 from repro.host.costs import DEFAULT_COSTS, SoftwareCosts, StepCost
 from repro.nvme.controller import NvmeController, NvmeTimings, PendingCommand
 from repro.sim.engine import Simulator
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Event
 from repro.spdk.hugepage import HugePageAllocator
 from repro.spdk.uio import UioBinding
 from repro.ssd.device import IoOp, SsdDevice
@@ -77,18 +77,6 @@ class SpdkStack:
         self.stage_log: Optional[List[Tuple[int, int, Optional[int], int]]] = None
 
     # ------------------------------------------------------------------
-    def _charge_and_wait(self, step: StepCost, function: str) -> Timeout:
-        self.accounting.charge(
-            step.ns,
-            ExecMode.USER,
-            "spdk",
-            function,
-            loads=step.loads,
-            stores=step.stores,
-        )
-        return self.sim.timeout(step.ns)
-
-    # ------------------------------------------------------------------
     def sync_io(
         self, op: IoOp, offset: Bytes, nbytes: int
     ) -> Generator[Event, Any, int]:
@@ -106,15 +94,16 @@ class SpdkStack:
         )
         if ctx is not None:
             ctx.phase("submit", started)
-        yield self._charge_and_wait(costs.spdk_user_prep, "fio_spdk_plugin")
-        yield self._charge_and_wait(
-            costs.spdk_check_enabled_iter, "nvme_qpair_check_enabled"
-        )
-        yield self._charge_and_wait(costs.spdk_submit, "spdk_nvme_ns_cmd_rw")
+        charge = self.accounting.charge
+        user = ExecMode.USER
+        ns = charge(costs.spdk_user_prep, user, "spdk", "fio_spdk_plugin")
+        ns += charge(costs.spdk_check_enabled_iter, user, "spdk", "nvme_qpair_check_enabled")
+        ns += charge(costs.spdk_submit, user, "spdk", "spdk_nvme_ns_cmd_rw")
+        yield self.sim.timeout(ns)
         pending = self.qpair.submit(op, offset, nbytes, trace=ctx)
         submitted = self.sim.now
         yield from self._process_completions(pending)
-        yield self._charge_and_wait(costs.spdk_complete, "io_complete_cb")
+        yield self.sim.timeout(charge(costs.spdk_complete, user, "spdk", "io_complete_cb"))
         if self.stage_log is not None:
             self.stage_log.append(
                 (started, submitted, pending.cqe_ns, self.sim.now)
@@ -128,13 +117,14 @@ class SpdkStack:
     ) -> PendingCommand:
         """Queue an I/O without waiting (SPDK is natively asynchronous)."""
         costs = self.costs
+        submit = costs.spdk_submit
         self.accounting.charge(
-            costs.spdk_submit.ns,
+            StepCost(
+                submit.ns, submit.loads + costs.spdk_check_enabled_iter.loads, submit.stores
+            ),
             ExecMode.USER,
             "spdk",
             "spdk_nvme_ns_cmd_rw",
-            loads=costs.spdk_submit.loads + costs.spdk_check_enabled_iter.loads,
-            stores=costs.spdk_submit.stores,
         )
         return self.qpair.submit(op, offset, nbytes, trace=trace)
 
@@ -180,10 +170,8 @@ class SpdkStack:
                 ns = int(round(spun_ns * step.ns / period))
                 charged += ns
             self.accounting.charge(
-                max(0, ns),
+                StepCost(max(0, ns), iters * step.loads, iters * step.stores),
                 ExecMode.USER,
                 "spdk",
                 function,
-                loads=iters * step.loads,
-                stores=iters * step.stores,
             )

@@ -5,45 +5,102 @@ import dataclasses
 import pytest
 
 from repro.host import CpuAccounting, ExecMode, SoftwareCosts, StepCost
+from repro.sim import engine
+from repro.sim.engine import Simulator
+
+
+def step(ns, loads=0, stores=0):
+    return StepCost(ns=ns, loads=loads, stores=stores)
 
 
 class TestCharging:
     def test_charge_returns_duration(self):
         accounting = CpuAccounting()
-        assert accounting.charge(500, ExecMode.KERNEL, "vfs", "syscall") == 500
+        assert accounting.charge(step(500), ExecMode.KERNEL, "vfs", "syscall") == 500
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            CpuAccounting().charge(-1, ExecMode.USER, "fio", "x")
+        accounting = CpuAccounting()
+        for ns, loads, stores in [(-1, 0, 0), (1, -1, 0), (1, 0, -1)]:
+            with pytest.raises(ValueError):
+                accounting.charge(step(ns, loads, stores), ExecMode.USER, "fio", "x")
+        assert accounting.profiles() == []
+
+    def test_segment_books_like_single_steps(self):
+        """One timeout for a run of charges books exactly what charging
+        and waiting step by step does: same cycles, loads, stores and
+        first-charge order, the same end time, and one event, not six."""
+        costs = SoftwareCosts()
+        run = [
+            (costs.user_io_prep, ExecMode.USER, "fio", "fio_rw"),
+            (costs.syscall_entry, ExecMode.KERNEL, "vfs", "syscall"),
+            (costs.vfs_submit, ExecMode.KERNEL, "vfs", "vfs_rw"),
+            (costs.blkmq_submit, ExecMode.KERNEL, "blk-mq", "blk_mq_make_request"),
+            (costs.syscall_exit, ExecMode.KERNEL, "vfs", "syscall"),
+            (step(7, 3, 2), ExecMode.USER, "fio", "fio_rw"),
+        ]
+
+        def one_by_one(sim, accounting):
+            for booking in run:
+                yield sim.timeout(accounting.charge(*booking))
+
+        def segment(sim, accounting):
+            ns = 0
+            for booking in run:
+                ns += accounting.charge(*booking)
+            yield sim.timeout(ns)
+            return ns
+
+        outcomes = []
+        for process in (one_by_one, segment):
+            sim, accounting = Simulator(), CpuAccounting()
+            proc = sim.process(process(sim, accounting))
+            before = engine.events_executed_total
+            sim.run()
+            outcomes.append(
+                (sim.now, engine.events_executed_total - before, proc.value,
+                 accounting.profiles())
+            )
+        (steps_end, steps_events, _, steps_profiles), (end, events, total, profiles) = outcomes
+        assert total == end == steps_end == 1557
+        assert (steps_events, events) == (1 + len(run), 2)  # + the process start
+        assert profiles == steps_profiles
+        assert [(p.mode, p.module, p.function) for p in profiles] == [
+            (ExecMode.USER, "fio", "fio_rw"),
+            (ExecMode.KERNEL, "vfs", "syscall"),  # ties keep first-charge order
+            (ExecMode.KERNEL, "blk-mq", "blk_mq_make_request"),
+            (ExecMode.KERNEL, "vfs", "vfs_rw"),
+        ]
+        syscall = profiles[1]
+        assert (syscall.cycles_ns, syscall.loads, syscall.stores) == (300, 47, 33)
 
     def test_busy_by_mode(self):
         accounting = CpuAccounting()
-        accounting.charge(300, ExecMode.USER, "fio", "rw")
-        accounting.charge(700, ExecMode.KERNEL, "vfs", "syscall")
+        accounting.charge(step(300), ExecMode.USER, "fio", "rw")
+        accounting.charge(step(700), ExecMode.KERNEL, "vfs", "syscall")
         assert accounting.busy_ns() == 1000
         assert accounting.busy_ns(ExecMode.USER) == 300
         assert accounting.busy_ns(ExecMode.KERNEL) == 700
 
     def test_utilization(self):
         accounting = CpuAccounting()
-        accounting.charge(250, ExecMode.KERNEL, "vfs", "syscall")
+        accounting.charge(step(250), ExecMode.KERNEL, "vfs", "syscall")
         assert accounting.utilization(1000) == 0.25
         assert accounting.utilization(1000, ExecMode.USER) == 0.0
         assert accounting.utilization(0) == 0.0
 
     def test_utilization_caps_at_one(self):
         accounting = CpuAccounting()
-        accounting.charge(5000, ExecMode.KERNEL, "vfs", "syscall")
+        accounting.charge(step(5000), ExecMode.KERNEL, "vfs", "syscall")
         assert accounting.utilization(1000) == 1.0
 
 
 class TestBreakdowns:
     def make_populated(self):
         accounting = CpuAccounting()
-        accounting.charge(600, ExecMode.KERNEL, "blk-mq", "blk_mq_poll", loads=60, stores=20)
-        accounting.charge(200, ExecMode.KERNEL, "nvme-driver", "nvme_poll", loads=30, stores=10)
-        accounting.charge(200, ExecMode.KERNEL, "vfs", "syscall", loads=10, stores=10)
-        accounting.charge(100, ExecMode.USER, "fio", "fio_rw", loads=5, stores=5)
+        accounting.charge(step(600, 60, 20), ExecMode.KERNEL, "blk-mq", "blk_mq_poll")
+        accounting.charge(step(200, 30, 10), ExecMode.KERNEL, "nvme-driver", "nvme_poll")
+        accounting.charge(step(200, 10, 10), ExecMode.KERNEL, "vfs", "syscall")
+        accounting.charge(step(100, 5, 5), ExecMode.USER, "fio", "fio_rw")
         return accounting
 
     def test_cycles_by_module(self):

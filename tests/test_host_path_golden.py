@@ -21,12 +21,12 @@ Any change to how host CPU steps are charged or waited must leave these
 bytes unchanged.
 """
 
-import inspect
 import json
 from pathlib import Path
 
 import pytest
 
+from repro.__main__ import _scaled_kwargs
 from repro.core.figures import FIGURES
 from repro.obs.anatomy import AnatomyReport
 from repro.obs.core import Observability
@@ -45,21 +45,14 @@ FIGURE_IDS = (
 TRACED_IDS = ("ext-anatomy", "fig23")
 
 
-def scaled_kwargs(figure_id):
-    """The keyword overrides ``--scale SCALE`` gives ``figure_id``."""
-    params = inspect.signature(FIGURES[figure_id]).parameters
-    default = params["io_count"].default if "io_count" in params else None
-    return {"io_count": max(100, int(default * SCALE))} if default else {}
-
-
 def figure_dict(figure_id):
-    return FIGURES[figure_id](**scaled_kwargs(figure_id)).to_dict()
+    return FIGURES[figure_id](**_scaled_kwargs(figure_id, SCALE)).to_dict()
 
 
 def phase_totals(figure_id):
     """Per-phase span totals (ns) of one traced run of ``figure_id``."""
     with Observability(tracing=True) as obs:
-        FIGURES[figure_id](**scaled_kwargs(figure_id))
+        FIGURES[figure_id](**_scaled_kwargs(figure_id, SCALE))
     report = AnatomyReport.from_tracer(obs.tracer)
     return {
         "io_count": report.io_count,

@@ -1,6 +1,7 @@
 """Cross-stack integration tests: end-to-end invariants on the paper's
 two devices."""
 
+import pytest
 
 from repro import (
     CompletionMethod,
@@ -14,6 +15,7 @@ from repro import (
     run_job,
 )
 from repro.api import JobConfig, Testbed, open_device
+from repro.sim import engine as sim_engine
 from repro.ssd.registry import resolve_config
 
 
@@ -165,3 +167,34 @@ class TestPresetSanity:
         nvme = async_job(DeviceKind.NVME, "randread", iodepth=256, io_count=8000)
         assert ull.bandwidth_mbps > 2300
         assert 1300 < nvme.bandwidth_mbps < 2100
+
+
+class TestHostPathEvents:
+    """Exact sim events of a QD1 ULL 4 KB random read on each host path.
+
+    Every run of pure CPU steps between two real waits is one timeout,
+    so the per-I/O count is the device's events plus one per host
+    segment.  Any change that splits or merges a segment moves these.
+    """
+
+    @staticmethod
+    def events(stack, completion, io_count):
+        testbed = Testbed(device="ull", stack=stack, completion=completion)
+        before = sim_engine.events_executed_total
+        result = testbed.run_job(JobConfig(rw="randread", io_count=io_count))
+        assert result.latency.count == io_count
+        return sim_engine.events_executed_total - before
+
+    @pytest.mark.parametrize(
+        "stack, completion, at_100, per_io",
+        [
+            ("kernel", "interrupt", 834, 8),
+            ("kernel", "poll", 634, 6),
+            ("kernel", "hybrid", 932, 9),
+            ("spdk", "interrupt", 634, 6),
+        ],
+    )
+    def test_events_per_io(self, stack, completion, at_100, per_io):
+        first = self.events(stack, completion, 100)
+        assert first == at_100
+        assert self.events(stack, completion, 200) - first == 100 * per_io

@@ -555,10 +555,11 @@ class TestMutation:
 
     def test_us_for_ns_mutation_is_caught(self, tmp_path):
         original = self.CALLER.read_text(encoding="utf-8")
-        target = "yield self.sim.timeout(costs.irq_delivery_ns)"
+        # The MSI flight opens the ISR segment's timeout delay.
+        target = "costs.irq_delivery_ns\n            + charge("
         assert target in original, "mutation anchor moved; update the test"
         mutated = original.replace(
-            target, "yield self.sim.timeout(costs.irq_delivery_us)", 1
+            target, "costs.irq_delivery_us\n            + charge(", 1
         )
         result = self.lint_pair(tmp_path, mutated)
         assert "SIM010" in codes_of(result)
