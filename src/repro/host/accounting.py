@@ -16,9 +16,10 @@ Charging records bookkeeping only; advancing simulated time is the
 caller's job.  :meth:`CpuAccounting.charge` returns the step's ``ns``,
 so a stack process sums the steps of one *segment* — a run of pure CPU
 steps between two real waits (a device submit or completion, a CQE
-wait, a poll spin, a sleep, a link send) — and yields one timeout for
-the sum: ``yield sim.timeout(charge(a, ...) + charge(b, ...))``.  Each
-step is still booked once, in path order; only the event count falls.
+wait, a poll spin, a sleep, a link send, a fault-plan requeue check) —
+and yields one timeout for the sum:
+``yield sim.timeout(charge(a, ...) + charge(b, ...))``.  Each step is
+still booked once, in path order; only the event count falls.
 """
 
 from __future__ import annotations

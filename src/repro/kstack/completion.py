@@ -139,7 +139,8 @@ class _EngineBase:
         iters = max(1, round(spun_ns / period))
         self._m_spin_iters.inc(iters)
         blk, nvme = costs.blk_mq_poll_iter, costs.nvme_poll_iter
-        blk_ns = int(round(spun_ns * (blk.ns / period)))
+        blk_share = blk.ns / period
+        blk_ns = int(round(spun_ns * blk_share))
         self.accounting.charge(
             StepCost(blk_ns, iters * blk.loads, iters * blk.stores),
             ExecMode.KERNEL,
