@@ -41,7 +41,7 @@ perf:
 	$(PYTHON) -m repro perf ext-anatomy ext-lightqueue --scale 0.1 \
 		--no-cache --out benchmarks/perf_baseline.json
 
-# Informational (never fails): per-figure wall/sim-events/s deltas plus
+# Informational (never fails): per-figure wall ratio and sim events plus
 # the top-hotspot shift against the checked-in baseline.  The hard gate
 # lives in CI's perf-smoke job.
 perf-compare:

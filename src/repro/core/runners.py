@@ -175,7 +175,7 @@ class FileSystemOverNbd:
         from repro.ssd.device import IoOp
 
         prep = self.accounting.charge(self.costs.user_io_prep, ExecMode.USER, "fio", "fio_rw")
-        yield self.sim.timeout(prep)
+        yield self.sim.sleep(prep)
         if op is IoOp.READ:
             latency = yield from self.fs.read(offset, nbytes)
         else:

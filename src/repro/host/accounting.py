@@ -17,8 +17,8 @@ caller's job.  :meth:`CpuAccounting.charge` returns the step's ``ns``,
 so a stack process sums the steps of one *segment* — a run of pure CPU
 steps between two real waits (a device submit or completion, a CQE
 wait, a poll spin, a sleep, a link send, a fault-plan requeue check) —
-and yields one timeout for the sum:
-``yield sim.timeout(charge(a, ...) + charge(b, ...))``.  Each step is
+and sleeps once for the sum:
+``yield sim.sleep(charge(a, ...) + charge(b, ...))``.  Each step is
 still booked once, in path order; only the event count falls.
 """
 
@@ -37,6 +37,12 @@ class ExecMode(enum.Enum):
 
     USER = "user"
     KERNEL = "kernel"
+
+    # Members compare by identity, so hash them by identity too: the C
+    # slot instead of ``Enum.__hash__``, which runs in Python on every
+    # ``CpuAccounting.charge`` key.  Dict order is insertion order, so
+    # nothing that reads the accounts depends on the hash value.
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -61,7 +67,7 @@ class CpuAccounting:
     # ------------------------------------------------------------------
     def charge(self, step: StepCost, mode: ExecMode, module: str, function: str) -> int:
         """Attribute one step's CPU time and instructions; returns its
-        ``ns`` so call sites can sum a segment into one timeout."""
+        ``ns`` so call sites can sum a segment into one sleep."""
         key = (mode, module, function)
         slot = self._slots.get(key)
         if slot is None:

@@ -4,7 +4,7 @@ Each engine is a generator that runs from "command submitted" to "request
 completed back through blk-mq", charging CPU time and memory instructions
 to the functions the paper's profiler attributes them to.  ``complete``
 returns the CPU time of its closing steps, booked but not yet waited, so
-the caller folds its own next steps into the same timeout.
+the caller folds its own next steps into the same sleep.
 
 * :class:`InterruptEngine` — the process context-switches away; the MSI
   arrives, the ISR runs, the scheduler switches back.
@@ -105,7 +105,7 @@ class _EngineBase:
             # CQE landed; everything from here is completion software.
             pending.trace.phase("completion_poll", pending.cqe_ns)
         detect = costs.kernel_poll_iter_ns
-        yield self.sim.timeout(detect)
+        yield self.sim.sleep(detect)
         spun = self.sim.now - started
         self._charge_spin(spun)
         self._m_spin_ns.inc(spun)
@@ -129,7 +129,7 @@ class _EngineBase:
                 pending.trace.annotate(
                     "deferred_kernel_work", self.sim.now, self.sim.now + penalty
                 )
-            yield self.sim.timeout(penalty)
+            yield self.sim.sleep(penalty)
         return spun
 
     def _charge_spin(self, spun_ns: int) -> None:
@@ -177,7 +177,7 @@ class InterruptEngine(_EngineBase):
         pending = driver_request.pending
         # Switch away; the core is free for other work while the device runs.
         self._m_ctx_switches.inc()
-        yield self.sim.timeout(
+        yield self.sim.sleep(
             charge(costs.context_switch_out, ExecMode.KERNEL, "sched", "context_switch")
         )
         cqe_event = pending.cqe_event
@@ -188,7 +188,7 @@ class InterruptEngine(_EngineBase):
             pending.trace.phase("completion_isr", pending.cqe_ns)
         # MSI flight, then the ISR completes the command.
         self._m_isr.inc()
-        yield self.sim.timeout(
+        yield self.sim.sleep(
             costs.irq_delivery_ns
             + charge(costs.isr, ExecMode.KERNEL, "nvme-driver", "nvme_irq")
         )
@@ -243,7 +243,7 @@ class HybridPollEngine(_EngineBase):
         charge = self.accounting.charge
         wait_started = self.sim.now
         cqe_event = driver_request.pending.cqe_event
-        yield self.sim.timeout(
+        yield self.sim.sleep(
             charge(
                 costs.hybrid_timer_setup,
                 ExecMode.KERNEL,
@@ -261,7 +261,7 @@ class HybridPollEngine(_EngineBase):
             # past the CQE — the oversleep the paper measures.
             slack = int(self.rng.integers(0, costs.hybrid_timer_slack_ns + 1))
             slept_from = self.sim.now
-            yield self.sim.timeout(sleep_ns + slack)  # core released: no charge
+            yield self.sim.sleep(sleep_ns + slack)  # core released: no charge
             if driver_request.pending.trace is not None:
                 driver_request.pending.trace.annotate(
                     "hybrid_sleep", slept_from, self.sim.now
@@ -269,7 +269,7 @@ class HybridPollEngine(_EngineBase):
             ns = charge(costs.hybrid_wakeup, ExecMode.KERNEL, "sched", "timer_wakeup")
             # Poll state comes back cache-cold after the sleep.
             ns += charge(costs.hybrid_cold_detect, ExecMode.KERNEL, "blk-mq", "blk_mq_poll")
-            yield self.sim.timeout(ns)
+            yield self.sim.sleep(ns)
         if cqe_event.triggered:
             # Overslept: the CQE beat us; pay one observing iteration.
             if driver_request.pending.trace is not None:
@@ -277,7 +277,7 @@ class HybridPollEngine(_EngineBase):
                     "completion_poll", driver_request.pending.cqe_ns
                 )
             detect = costs.kernel_poll_iter_ns
-            yield self.sim.timeout(detect)
+            yield self.sim.sleep(detect)
             self._charge_spin(detect)
             self._t_poll_burn.add_interval(self.sim.now - detect, self.sim.now)
         else:

@@ -106,7 +106,7 @@ class Ext4Model:
         started = self.sim.now
         charge = self.accounting.charge
         kernel = ExecMode.KERNEL
-        yield self.sim.timeout(
+        yield self.sim.sleep(
             charge(costs.inode_lookup, kernel, "ext4", "ext4_file_read_iter")
         )
         if self._rng.random() < costs.metadata_miss_prob:
@@ -115,7 +115,7 @@ class Ext4Model:
                 IoOp.READ, self._meta_offset(offset), costs.metadata_block_bytes
             )
         yield from self.block_io(IoOp.READ, self.data_base + offset, nbytes)
-        yield self.sim.timeout(
+        yield self.sim.sleep(
             charge(costs.atime_update, kernel, "ext4", "ext4_update_atime")
         )
         return self.sim.now - started
@@ -129,7 +129,7 @@ class Ext4Model:
         ns = charge(costs.inode_lookup, kernel, "ext4", "ext4_file_write_iter")
         ns += charge(costs.write_prepare, kernel, "ext4", "ext4_map_blocks")
         ns += charge(costs.journal_memcpy, kernel, "ext4", "jbd2_journal_dirty")
-        yield self.sim.timeout(ns)
+        yield self.sim.sleep(ns)
         yield from self.block_io(IoOp.WRITE, self.data_base + offset, nbytes)
         self._writes_since_commit += 1
         self._writes_since_writeback += 1

@@ -121,7 +121,7 @@ class KernelStack:
         submitted = self.sim.now
         ns = yield from self.engine.complete(self.driver, request)
         ns += charge(costs.syscall_exit, ExecMode.KERNEL, "vfs", "syscall")
-        yield self.sim.timeout(ns)
+        yield self.sim.sleep(ns)
         if self.stage_log is not None:
             self.stage_log.append(
                 (started, submitted, request.pending.cqe_ns, self.sim.now)
@@ -155,18 +155,18 @@ class KernelStack:
                 "nvme-driver",
                 "light_queue_issue",
             )
-            yield self.sim.timeout(ns)
+            yield self.sim.sleep(ns)
             return
         if ctx is not None:
             ctx.phase("blkmq_queue", start + ns)
         ns += charge(costs.blkmq_submit, ExecMode.KERNEL, "blk-mq", "blk_mq_make_request")
         if self._requeue_faults is not None:
-            yield self.sim.timeout(ns)
+            yield self.sim.sleep(ns)
             ns = 0
             yield from self._maybe_requeue(ctx)
         ns += charge(costs.nvme_driver_submit, ExecMode.KERNEL, "nvme-driver", "nvme_queue_rq")
         ns += charge(costs.doorbell_write, ExecMode.KERNEL, "nvme-driver", "doorbell_write")
-        yield self.sim.timeout(ns)
+        yield self.sim.sleep(ns)
 
     def _maybe_requeue(
         self, ctx: "Optional[IoTrace]" = None
@@ -206,7 +206,7 @@ class KernelStack:
             self.accounting.charge(
                 costs.blkmq_submit, ExecMode.KERNEL, "blk-mq", "blk_mq_requeue_work"
             )
-            yield self.sim.timeout(delay)
+            yield self.sim.sleep(delay)
 
     # ------------------------------------------------------------------
     def submit_async(
@@ -232,7 +232,7 @@ class KernelStack:
         if ctx is not None:
             ctx.phase("blkmq_queue", self.sim.now + ns)
         ns += charge(costs.async_submit_kernel, ExecMode.KERNEL, "blk-mq", "aio_submit_path")
-        yield self.sim.timeout(ns)
+        yield self.sim.sleep(ns)
         if self._requeue_faults is not None:
             yield from self._maybe_requeue(ctx)
         request = self.driver.submit(

@@ -127,7 +127,7 @@ class NbdSystem:
         ns = charge(costs.syscall_entry, kernel, "vfs", "syscall")
         ns += charge(costs.vfs_submit, kernel, "vfs", "vfs_rw")
         ns += charge(costs.blkmq_submit, kernel, "blk-mq", "blk_mq_make_request")
-        yield self.sim.timeout(ns)
+        yield self.sim.sleep(ns)
         # Request (+ payload for writes) to the server.
         request_bytes = NBD_HEADER_BYTES + (nbytes if op is IoOp.WRITE else 0)
         send_at = self.sim.now
@@ -136,7 +136,7 @@ class NbdSystem:
             ctx.phase("net_send", send_at)
             self._trace_link_waits(ctx, send_at, sent, delivered)
         if delivered > self.sim.now:
-            yield self.sim.timeout(delivered - self.sim.now)
+            yield self.sim.sleep(delivered - self.sim.now)
         # Server-side residence.
         yield from self._server_side(op, offset, nbytes, ctx)
         # Reply (+ payload for reads) back to the client.
@@ -147,7 +147,7 @@ class NbdSystem:
             ctx.phase("net_return", reply_at)
             self._trace_link_waits(ctx, reply_at, sent, returned)
         if returned > self.sim.now:
-            yield self.sim.timeout(returned - self.sim.now)
+            yield self.sim.sleep(returned - self.sim.now)
         # Client: completion (interrupt-driven; the NBD client is kernel
         # code either way — SPDK only bypasses the *server* side).
         if ctx is not None:
@@ -156,7 +156,7 @@ class NbdSystem:
         ns += charge(costs.blkmq_complete, kernel, "blk-mq", "blk_mq_complete_request")
         ns += charge(costs.context_switch_in, kernel, "sched", "context_switch")
         ns += charge(costs.syscall_exit, kernel, "vfs", "syscall")
-        yield self.sim.timeout(ns)
+        yield self.sim.sleep(ns)
         if ctx is not None:
             ctx.finish(self.sim.now)
         return self.sim.now - started
@@ -205,7 +205,7 @@ class NbdSystem:
         else:
             ns = charge(sc.kernel_write_recv, kernel, "nbd-server", "stream_recv")
         ns += charge(sc.kernel_syscall_path, kernel, "nbd-server", "storage_stack")
-        yield self.sim.timeout(ns)
+        yield self.sim.sleep(ns)
         request = self.device.submit(op, offset, nbytes, trace=ctx)
         if not request.done.triggered:
             yield request.done
@@ -217,7 +217,7 @@ class NbdSystem:
             ns += charge(sc.kernel_reply_send, kernel, "nbd-server", "tcp_send")
         else:
             ns = charge(sc.kernel_write_reply, kernel, "nbd-server", "tcp_send")
-        yield self.sim.timeout(ns)
+        yield self.sim.sleep(ns)
 
     def _spdk_server(
         self, op: IoOp, offset: int, nbytes: int, ctx: "Optional[IoTrace]" = None
@@ -229,10 +229,10 @@ class NbdSystem:
         if op is IoOp.WRITE:
             ns += charge(sc.spdk_write_copy, user, "spdk-nbd", "hugepage_memcpy")
         ns += charge(sc.spdk_submit, user, "spdk-nbd", "spdk_nvme_ns_cmd_rw")
-        yield self.sim.timeout(ns)
+        yield self.sim.sleep(ns)
         request = self.device.submit(op, offset, nbytes, trace=ctx)
         if not request.done.triggered:
             yield request.done
         if ctx is not None:
             ctx.phase("server", self.sim.now)
-        yield self.sim.timeout(charge(sc.spdk_reply_send, user, "spdk-nbd", "dpdk_send"))
+        yield self.sim.sleep(charge(sc.spdk_reply_send, user, "spdk-nbd", "dpdk_send"))

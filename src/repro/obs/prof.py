@@ -13,8 +13,8 @@ Three views:
   :class:`~repro.sim.process.Process` resume, or an event whose firing
   synchronously resumes a waiting process — are attributed to the
   *innermost* generator of the process's ``yield from`` chain, the one
-  whose code the resume actually runs.  So the cost of
-  ``Timeout._fire`` lands on ``KernelStack._submit_path``, not on the
+  whose code the resume actually runs.  So the cost of a sleep's
+  ``Process._wake`` lands on ``KernelStack._submit_path``, not on the
   ``SyncJobEngine.run`` that delegated to it, nor on the sim kernel.
   Event counts are exact (counted on the sim clock); wall time is
   sampled with ``time.perf_counter_ns`` around each dispatch when
@@ -135,8 +135,8 @@ def _generator_of(callback: Callable[..., Any]) -> Optional[Any]:
 
     Covers the three trampoline shapes the kernel produces:
 
-    * ``Process._resume`` / ``Process._on_event`` bound methods — the
-      process's own generator;
+    * ``Process._resume`` / ``Process._on_event`` / ``Process._wake``
+      bound methods — the process's own generator;
     * an :class:`~repro.sim.events.Event` method (``Timeout._fire``)
       whose pending callbacks include a waiting process — firing the
       event resumes that generator in the same dispatch;

@@ -1,18 +1,19 @@
 """Wall-clock self-profiling and the perf-regression harness.
 
-The simulator is the product here, so its *throughput* — simulated
-events executed per wall-clock second — is a first-class output next to
-the figures themselves.  :class:`PerfSession` times each benchmark
-figure (wall seconds, sim events, sweep-engine cache state) and
-aggregates the records into a ``BENCH_<date>.json`` document; `compare
-<compare_docs>` diffs two documents and flags figures whose wall time
-regressed past a configurable threshold or whose sim-event count changed
-at all, which is what the CI ``perf-smoke`` job and ``python -m repro
-perf --compare`` gate on.
+The simulator is the product here, so the wall time it takes to
+regenerate each figure is a first-class output next to the figures
+themselves.  :class:`PerfSession` times each benchmark figure (wall
+seconds, sim events, sweep-engine cache state) and aggregates the
+records into a ``BENCH_<date>.json`` document; `compare <compare_docs>`
+diffs two documents and flags figures whose wall time regressed past a
+configurable threshold or whose sim-event count changed at all, which
+is what the CI ``perf-smoke`` job and ``python -m repro perf --compare``
+gate on.  The speed column is the wall-time ratio; the event count is
+the exact, noise-free check beside it.
 
 Cache state matters when comparing: a warm-cache run executes zero
-simulations and its wall time says nothing about simulator throughput,
-so comparisons only gate figures whose cache states match.
+simulations and its wall time says nothing about simulator speed, so
+comparisons only gate figures whose cache states match.
 """
 
 from __future__ import annotations
@@ -218,8 +219,8 @@ class CompareRow:
     status: str  # ok | slower | faster | events-changed | incomparable | added | removed
     old_wall_s: Optional[float] = None
     new_wall_s: Optional[float] = None
-    old_events_per_s: Optional[float] = None
-    new_events_per_s: Optional[float] = None
+    old_sim_events: Optional[int] = None
+    new_sim_events: Optional[int] = None
     note: str = ""
     #: ``component:callsite (share)`` of the new document's heaviest
     #: self-profiler site, when the bench was run with ``perf --profile``.
@@ -230,16 +231,14 @@ class CompareRow:
 
     @property
     def ratio(self) -> Optional[float]:
+        """New wall time over old: the speed measure (below 1 is faster).
+
+        Sim events per second is no speed measure: a change that takes
+        events off the queue lowers it while the figure gets faster.
+        """
         if not self.old_wall_s or self.new_wall_s is None:
             return None
         return self.new_wall_s / self.old_wall_s
-
-    @property
-    def events_delta(self) -> Optional[float]:
-        """Fractional sim-events/s change (+0.10 = 10% more throughput)."""
-        if not self.old_events_per_s or self.new_events_per_s is None:
-            return None
-        return self.new_events_per_s / self.old_events_per_s - 1.0
 
 
 @dataclass
@@ -259,29 +258,19 @@ class Comparison:
         if not self.rows:
             return "(no figures in common)"
         lines = [
-            f"{'figure':<22} {'old wall':>9} {'new wall':>9} {'ratio':>7} "
-            f"{'old ev/s':>10} {'new ev/s':>10} {'ev/s %':>7}  status"
+            f"{'figure':<22} {'old wall':>9} {'new wall':>9} {'speed':>7} "
+            f"{'old events':>11} {'new events':>11}  status"
         ]
         for row in self.rows:
             old_w = f"{row.old_wall_s:.2f}s" if row.old_wall_s is not None else "-"
             new_w = f"{row.new_wall_s:.2f}s" if row.new_wall_s is not None else "-"
             ratio = f"{row.ratio:.2f}x" if row.ratio is not None else "-"
-            old_e = (
-                f"{row.old_events_per_s:,.0f}"
-                if row.old_events_per_s is not None
-                else "-"
-            )
-            new_e = (
-                f"{row.new_events_per_s:,.0f}"
-                if row.new_events_per_s is not None
-                else "-"
-            )
-            delta = row.events_delta
-            delta_s = f"{delta:+.0%}" if delta is not None else "-"
+            old_e = f"{row.old_sim_events:,}" if row.old_sim_events is not None else "-"
+            new_e = f"{row.new_sim_events:,}" if row.new_sim_events is not None else "-"
             status = row.status + (f" ({row.note})" if row.note else "")
             lines.append(
                 f"{row.figure_id:<22} {old_w:>9} {new_w:>9} {ratio:>7} "
-                f"{old_e:>10} {new_e:>10} {delta_s:>7}  {status}"
+                f"{old_e:>11} {new_e:>11}  {status}"
             )
         lines.append(
             f"-- {len(self.regressions)} regression(s): past the "
@@ -338,7 +327,7 @@ def compare_docs(
                     figure_id,
                     "added",
                     new_wall_s=record.wall_s,
-                    new_events_per_s=record.events_per_s,
+                    new_sim_events=record.sim_events,
                     top_hotspot=_top_hotspot(new_row),
                 )
             )
@@ -350,7 +339,7 @@ def compare_docs(
                     figure_id,
                     "removed",
                     old_wall_s=record.wall_s,
-                    old_events_per_s=record.events_per_s,
+                    old_sim_events=record.sim_events,
                 )
             )
             continue
@@ -361,8 +350,8 @@ def compare_docs(
             "ok",
             old_wall_s=old_rec.wall_s,
             new_wall_s=new_rec.wall_s,
-            old_events_per_s=old_rec.events_per_s,
-            new_events_per_s=new_rec.events_per_s,
+            old_sim_events=old_rec.sim_events,
+            new_sim_events=new_rec.sim_events,
             top_hotspot=_top_hotspot(new_row),
             old_top_hotspot=_top_hotspot(old_row),
         )

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, List, Optio
 from repro.obs.core import current_obs
 from repro.sim import sanitize
 from repro.sim.events import AnyOf, Event, Timeout
-from repro.sim.process import Process
+from repro.sim.process import SLEEP, Process
 from repro.units import Ns
 
 if TYPE_CHECKING:
@@ -60,6 +60,9 @@ class Simulator:
         #: path pays exactly one ``is not None`` check per hook.
         profiler = self.obs.profiler
         self._prof: "Optional[Profiler]" = profiler if profiler.enabled else None
+        #: The process whose generator is running, kept by
+        #: ``Process._resume``; ``sleep`` books this one's wake-up.
+        self._active: Optional[Process] = None
 
     # ------------------------------------------------------------------
     # Scheduling primitives
@@ -101,6 +104,32 @@ class Simulator:
     def timeout(self, delay: Ns, value: Any = None) -> Timeout:
         """Create an event that fires ``delay`` ns from now."""
         return Timeout(self, int(delay), value)
+
+    def sleep(self, delay: Ns) -> Any:
+        """Suspend the running process for ``delay`` ns:
+        ``yield sim.sleep(delay)``.
+
+        The wake-up is booked here, at the ``(now + delay, seq)`` a
+        :meth:`timeout` created at this point would take, so dispatch
+        order is the same; but no event is built and nothing fires
+        through it.  Returns the ``SLEEP`` sentinel, typed ``Any`` so
+        that it fits every process's ``Generator[Event, ...]`` yield
+        type.  Use :meth:`timeout` to race a delay (``any_of``) or to
+        carry a value.
+        """
+        process = self._active
+        if process is None:
+            raise ValueError("sleep() outside a running process")
+        delay = int(delay)
+        if delay < 0:
+            raise ValueError(f"negative sleep delay: {delay}")
+        now = self.now
+        self._seq = seq = self._seq + 1
+        heapq.heappush(self._queue, (now + delay, seq, process._wake, (seq,)))
+        process._sleep_seq = seq  # noqa: SLF001
+        if self._prof is not None:
+            self._prof.note_insert(now, now + delay, len(self._queue))
+        return SLEEP
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Create an event that fires when the first of ``events`` fires."""
@@ -168,9 +197,22 @@ class Simulator:
             self.now = until
 
     def run_until_event(self, event: Event) -> None:
-        """Run until ``event`` triggers or the queue drains."""
-        while not event.triggered and self.step():
-            pass
+        """Run until ``event`` triggers or the queue drains (the pop of
+        :meth:`step`, inlined in a loop as in :meth:`run`)."""
+        global events_executed_total
+        queue = self._queue
+        prof = self._prof
+        pop = heapq.heappop
+        while queue and not event._triggered:  # noqa: SLF001
+            when, _seq, callback, args = pop(queue)
+            if self.sanitize:
+                sanitize.check_clock(self.now, when)
+            self.now = when
+            events_executed_total += 1
+            if prof is None:
+                callback(*args)
+            else:
+                prof.dispatch(when, callback, args, len(queue))
 
     @property
     def pending_count(self) -> int:

@@ -5,6 +5,11 @@ triggers, the process resumes with the event's value; if the event failed,
 the exception is thrown into the generator.  A process is itself an event
 that triggers with the generator's return value, so processes can wait on
 each other by yielding them.
+
+A process that only needs to let time pass yields
+``sim.sleep(delay)`` instead of an event: the call books the process's
+own wake-up on the queue and returns :data:`SLEEP`, so no event object,
+callback list or trigger chain is built for a plain delay.
 """
 
 from __future__ import annotations
@@ -13,6 +18,19 @@ from typing import Any, Iterator
 
 from repro.sim import sanitize
 from repro.sim.events import Event
+
+
+class _Sleep:
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "<SLEEP>"
+
+
+#: What a process yields after :meth:`repro.sim.engine.Simulator.sleep`
+#: booked its wake-up; the process yields nothing else that is not an
+#: event.
+SLEEP = _Sleep()
 
 
 class Interrupted(Exception):
@@ -26,7 +44,7 @@ class Interrupted(Exception):
 class Process(Event):
     """An event representing the lifetime of a running generator."""
 
-    __slots__ = ("_generator", "_waiting_on")
+    __slots__ = ("_generator", "_waiting_on", "_sleep_seq")
 
     def __init__(self, sim: "Simulator", generator: Iterator) -> None:  # noqa: F821
         if not hasattr(generator, "send"):
@@ -37,6 +55,10 @@ class Process(Event):
         super().__init__(sim)
         self._generator = generator
         self._waiting_on: Event | None = None
+        #: Queue sequence number of the booked sleep wake-up, 0 when the
+        #: process is not sleeping; a wake-up carrying any other number
+        #: is stale.
+        self._sleep_seq = 0
         # Start on the next simulation step so creation order does not
         # matter within a single instant.
         sim.post(self._resume, None, None)
@@ -50,6 +72,9 @@ class Process(Event):
         """Throw :class:`Interrupted` into the process at its yield point."""
         if self.triggered:
             raise RuntimeError("cannot interrupt a finished process")
+        # A booked sleep wake-up cannot be taken off the heap; dropping
+        # its number turns it into a counted no-op when it pops.
+        self._sleep_seq = 0
         waiting_on, self._waiting_on = self._waiting_on, None
         if waiting_on is not None and not waiting_on.triggered:
             # Detach for real: the event we were parked on may still
@@ -75,14 +100,35 @@ class Process(Event):
         else:
             self._resume(None, event._exception)  # noqa: SLF001
 
-    def _resume(self, value: Any, exception: BaseException | None) -> None:
-        if self.triggered:
+    def _wake(self, seq: int) -> None:
+        """The queued end of a :meth:`Simulator.sleep`."""
+        if seq != self._sleep_seq:
+            # Interrupted while asleep: the wake-up outlived its sleep.
+            prof = self.sim._prof  # noqa: SLF001
+            if prof is not None:
+                prof.note_stale()
             return
+        self._sleep_seq = 0
+        self._resume(None, None)
+
+    def _resume(self, value: Any, exception: BaseException | None) -> None:
+        if self._triggered:
+            return
+        # ``Simulator.sleep`` books the wake-up of the process whose
+        # code is running.  A resume can nest (this generator succeeds
+        # an event another process waits on), so restore the outer
+        # record however the generator step ends.
+        sim = self.sim
+        outer = sim._active  # noqa: SLF001
+        sim._active = self  # noqa: SLF001
         try:
-            if exception is not None:
-                target = self._generator.throw(exception)
-            else:
-                target = self._generator.send(value)
+            try:
+                if exception is not None:
+                    target = self._generator.throw(exception)
+                else:
+                    target = self._generator.send(value)
+            finally:
+                sim._active = outer  # noqa: SLF001
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -91,14 +137,22 @@ class Process(Event):
             # quietly (it was cancelled on purpose).
             self.succeed(None)
             return
-        if not isinstance(target, Event):
+        problem: str | None
+        if self._sleep_seq:
+            if target is SLEEP:
+                return
+            # The booked wake-up would resume this process a second time.
+            problem = f"booked a sim.sleep() but yielded {target!r}"
+        elif isinstance(target, Event):
+            problem = None
+        else:
+            problem = f"yielded a non-event: {target!r}"
+        if problem is not None:
             self._generator.close()
-            self.fail(
-                TypeError(f"process yielded a non-event: {target!r}")
-            )
+            self.fail(TypeError(f"process {problem}"))
             return
-        if getattr(self.sim, "sanitize", False):
-            sanitize.check_owner(self.sim, target, "wait (process yield)")
+        if sim.sanitize:
+            sanitize.check_owner(sim, target, "wait (process yield)")
         self._waiting_on = target
         if target.triggered:
             # Flatten recursion: a ready event resumes us as a same-tick

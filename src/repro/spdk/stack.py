@@ -99,11 +99,11 @@ class SpdkStack:
         ns = charge(costs.spdk_user_prep, user, "spdk", "fio_spdk_plugin")
         ns += charge(costs.spdk_check_enabled_iter, user, "spdk", "nvme_qpair_check_enabled")
         ns += charge(costs.spdk_submit, user, "spdk", "spdk_nvme_ns_cmd_rw")
-        yield self.sim.timeout(ns)
+        yield self.sim.sleep(ns)
         pending = self.qpair.submit(op, offset, nbytes, trace=ctx)
         submitted = self.sim.now
         yield from self._process_completions(pending)
-        yield self.sim.timeout(charge(costs.spdk_complete, user, "spdk", "io_complete_cb"))
+        yield self.sim.sleep(charge(costs.spdk_complete, user, "spdk", "io_complete_cb"))
         if self.stage_log is not None:
             self.stage_log.append(
                 (started, submitted, pending.cqe_ns, self.sim.now)
@@ -146,7 +146,7 @@ class SpdkStack:
             pending.trace.wait(
                 "spdk.poller", "poll_gap", pending.cqe_ns, pending.cqe_ns + detect
             )
-        yield self.sim.timeout(detect)
+        yield self.sim.sleep(detect)
         self._charge_spin(self.sim.now - started)
         self._t_poll_burn.add_interval(started, self.sim.now)
 

@@ -53,11 +53,18 @@ class WriteBuffer:
         return self._resident.get(lpn, 0) > 0
 
     # ------------------------------------------------------------------
+    def try_reserve(self) -> bool:
+        """Take a slot at once if one is free and no writer queues for
+        one; returns whether a slot is now held."""
+        if self._occupancy < self.capacity and not self._waiters:
+            self._occupancy += 1
+            return True
+        return False
+
     def reserve(self) -> Event:
         """Acquire a slot; the event fires when one is held."""
         event = Event(self.sim)
-        if self._occupancy < self.capacity and not self._waiters:
-            self._occupancy += 1
+        if self.try_reserve():
             event.succeed()
         else:
             self.stall_count += 1

@@ -417,24 +417,30 @@ class SsdController:
     def write_unit(
         self, lpn: int, trace: "Optional[IoTrace]" = None
     ) -> "Generator[Event, Any, None]":
-        """Process: admit one unit into the write buffer."""
-        wait_from = self.sim.now
-        yield self.write_buffer.reserve()
-        if trace is not None and self.sim.now > wait_from:
-            # The buffer was full; name the wait for what was holding it:
-            # an active GC cycle, or plain flush backlog.
-            blocked_on = "gc_stall" if self.gc_active > 0 else "buffer_full"
-            trace.phase(blocked_on, wait_from)
-            trace.phase("write_buffer", self.sim.now)
-            trace.wait(
-                "ssd.write_buffer",
-                "gc" if self.gc_active > 0 else "flush",
-                wait_from,
-                self.sim.now,
-            )
-        self.write_buffer.insert(lpn)
-        self._m_buffer_occ.set(self.write_buffer.occupancy, self.sim.now)
-        self._t_buffer_occ.record(self.sim.now, self.write_buffer.occupancy)
+        """Process: admit one unit into the write buffer.
+
+        A free slot is taken synchronously; only a full buffer (or a
+        writer already queued for a slot) makes the unit wait.
+        """
+        buffer = self.write_buffer
+        if not buffer.try_reserve():
+            wait_from = self.sim.now
+            yield buffer.reserve()
+            if trace is not None and self.sim.now > wait_from:
+                # The buffer was full; name the wait for what was holding
+                # it: an active GC cycle, or plain flush backlog.
+                blocked_on = "gc_stall" if self.gc_active > 0 else "buffer_full"
+                trace.phase(blocked_on, wait_from)
+                trace.phase("write_buffer", self.sim.now)
+                trace.wait(
+                    "ssd.write_buffer",
+                    "gc" if self.gc_active > 0 else "flush",
+                    wait_from,
+                    self.sim.now,
+                )
+        buffer.insert(lpn)
+        self._m_buffer_occ.set(buffer.occupancy, self.sim.now)
+        self._t_buffer_occ.record(self.sim.now, buffer.occupancy)
 
     # ------------------------------------------------------------------
     # Background flush workers (one per die)
@@ -463,7 +469,7 @@ class SsdController:
             ):
                 # Trickle traffic: wait briefly for more units so a
                 # program op commits a fuller page set.
-                yield self.sim.timeout(config.flush_coalesce_ns)
+                yield self.sim.sleep(config.flush_coalesce_ns)
                 while (
                     len(batch) < config.units_per_program
                     and buffer.pending_flush > 0
@@ -545,7 +551,7 @@ class SsdController:
             self.stats.flush_batches += 1
             self._m_flush_batches.inc()
             if finish_at > self.sim.now:
-                yield self.sim.timeout(finish_at - self.sim.now)
+                yield self.sim.sleep(finish_at - self.sim.now)
             for lpn in placed:
                 buffer.flushed(lpn)
             self._m_buffer_occ.set(buffer.occupancy, self.sim.now)
@@ -573,7 +579,7 @@ class SsdController:
                     continue
                 _, read_done = die.read(not_before=self.sim.now)
                 if read_done > self.sim.now:
-                    yield self.sim.timeout(read_done - self.sim.now)
+                    yield self.sim.sleep(read_done - self.sim.now)
                 pending.append(lpn)
                 if len(pending) >= config.units_per_program:
                     migrated += yield from self._program_migration(
@@ -586,7 +592,7 @@ class SsdController:
                 )
             _, erased = die.erase(not_before=self.sim.now)
             if erased > self.sim.now:
-                yield self.sim.timeout(erased - self.sim.now)
+                yield self.sim.sleep(erased - self.sim.now)
         finally:
             # NOTE: nothing here may touch observability state.  Cycles
             # abandoned when the run ends are closed later by the
@@ -636,5 +642,5 @@ class SsdController:
             self.ftl.relocate(lpn, die_index)
         _, programmed = self._program_page(die_index, not_before=self.sim.now)
         if programmed > self.sim.now:
-            yield self.sim.timeout(programmed - self.sim.now)
+            yield self.sim.sleep(programmed - self.sim.now)
         return len(survivors)

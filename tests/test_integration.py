@@ -170,18 +170,18 @@ class TestPresetSanity:
 
 
 class TestHostPathEvents:
-    """Exact sim events of a QD1 ULL 4 KB random read on each host path.
+    """Exact sim events of a QD1 ULL 4 KB random I/O on each host path.
 
-    Every run of pure CPU steps between two real waits is one timeout,
+    Every run of pure CPU steps between two real waits is one sleep,
     so the per-I/O count is the device's events plus one per host
     segment.  Any change that splits or merges a segment moves these.
     """
 
     @staticmethod
-    def events(stack, completion, io_count):
+    def events(stack, completion, io_count, rw="randread"):
         testbed = Testbed(device="ull", stack=stack, completion=completion)
         before = sim_engine.events_executed_total
-        result = testbed.run_job(JobConfig(rw="randread", io_count=io_count))
+        result = testbed.run_job(JobConfig(rw=rw, io_count=io_count))
         assert result.latency.count == io_count
         return sim_engine.events_executed_total - before
 
@@ -198,3 +198,11 @@ class TestHostPathEvents:
         first = self.events(stack, completion, 100)
         assert first == at_100
         assert self.events(stack, completion, 200) - first == 100 * per_io
+
+    def test_write_events_per_io(self):
+        # A free write-buffer slot is taken without a same-instant hop
+        # through the queue, so a buffered write costs 12 events, not 13.
+        first = self.events("kernel", "interrupt", 100, rw="randwrite")
+        assert first == 1229
+        second = self.events("kernel", "interrupt", 200, rw="randwrite")
+        assert second - first == 100 * 12

@@ -555,7 +555,7 @@ class TestMutation:
 
     def test_us_for_ns_mutation_is_caught(self, tmp_path):
         original = self.CALLER.read_text(encoding="utf-8")
-        # The MSI flight opens the ISR segment's timeout delay.
+        # The MSI flight opens the ISR segment's sleep delay.
         target = "costs.irq_delivery_ns\n            + charge("
         assert target in original, "mutation anchor moved; update the test"
         mutated = original.replace(
@@ -565,4 +565,4 @@ class TestMutation:
         assert "SIM010" in codes_of(result)
         (diag,) = [d for d in result.diagnostics if d.code == "SIM010"]
         assert diag.path == "src/repro/kstack/completion.py"
-        assert "argument 'delay' of Simulator.timeout()" in diag.message
+        assert "argument 'delay' of Simulator.sleep()" in diag.message

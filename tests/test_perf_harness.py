@@ -174,20 +174,24 @@ class TestCompare:
         assert "figA" in text and "figB" in text
         assert "0 regression(s)" in text
 
-    def test_events_per_s_delta(self):
-        # Same wall, double the events: throughput doubled (+100%).
-        old = make_doc({"f": (10.0, 100, 1, 1)})
-        new = make_doc({"f": (10.0, 200, 1, 1)})
+    def test_speed_is_the_wall_ratio(self):
+        # Fewer events in half the wall time: 0.50x, whatever the
+        # events/s did (it fell here); the event counts sit beside it.
+        old = make_doc({"f": (10.0, 4_422, 1, 1)})
+        new = make_doc({"f": (5.0, 2_000, 1, 1)})
         comparison = compare_docs(old, new)
         (row,) = comparison.rows
-        assert row.events_delta == pytest.approx(1.0)
-        assert "+100%" in comparison.render()
+        assert row.ratio == pytest.approx(0.5)
+        assert (row.old_sim_events, row.new_sim_events) == (4_422, 2_000)
+        text = comparison.render()
+        assert "0.50x" in text and "4,422" in text and "2,000" in text
+        assert "ev/s" not in text
 
-    def test_events_delta_missing_data(self):
-        old = make_doc({"f": (10.0, 0, 1, 1)})  # 0 ev/s old: no delta
+    def test_speed_missing_data(self):
+        old = make_doc({"f": (0.0, 100, 1, 1)})  # untimed old run: no ratio
         new = make_doc({"f": (10.0, 100, 1, 1)})
         (row,) = compare_docs(old, new).rows
-        assert row.events_delta is None
+        assert row.ratio is None
 
     def test_hotspots_surface_in_render(self):
         old = make_doc({"f": (10.0, 100, 1, 1)})

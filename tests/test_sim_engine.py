@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.obs import Observability, ProfilerConfig
 from repro.sim import AnyOf, Simulator
+from repro.sim import engine as sim_engine
 from repro.sim.process import Interrupted
 
 
@@ -281,3 +283,112 @@ class TestProcesses:
             ("fast", 10), ("fast", 20), ("slow", 25),
             ("fast", 30), ("slow", 50), ("slow", 75),
         ]
+
+
+class TestSleep:
+    """``yield sim.sleep(d)``: a process delay with no event behind it."""
+
+    @staticmethod
+    def transcript(use_sleep):
+        """Two processes and same-instant plain callbacks, waiting either
+        through ``sleep`` or through ``timeout``."""
+        sim = Simulator()
+        log = []
+
+        def wait(delay):
+            return sim.sleep(delay) if use_sleep else sim.timeout(delay)
+
+        def worker(name, delays):
+            for delay in delays:
+                sim.schedule(delay, log.append, (name, "callback", sim.now + delay))
+                yield wait(delay)
+                log.append((name, "woke", sim.now))
+                sim.schedule(0, log.append, (name, "after", sim.now))
+
+        sim.schedule(5, log.append, ("plain", 5))
+        sim.process(worker("a", (0, 5, 5, 0)))
+        sim.process(worker("b", (5, 0, 0, 5)))
+        before = sim_engine.events_executed_total
+        sim.run()
+        return log, sim_engine.events_executed_total - before
+
+    def test_interleaves_exactly_like_a_timeout(self):
+        assert self.transcript(use_sleep=True) == self.transcript(use_sleep=False)
+
+    def test_negative_delay_and_no_process_rejected(self):
+        sim = Simulator()
+        with pytest.raises(ValueError):
+            sim.sleep(5)
+        sim.schedule(1, sim.sleep, 5)  # a plain callback is no process
+        with pytest.raises(ValueError):
+            sim.run()
+        caught = []
+
+        def flow():
+            try:
+                sim.sleep(-1)
+            except ValueError as exc:
+                caught.append(exc)
+            yield sim.sleep(2)
+            return sim.now
+
+        process = sim.process(flow())
+        sim.run()
+        assert len(caught) == 1 and process.value == 3
+
+    def test_interrupted_sleeper_resumes_once(self):
+        obs = Observability(
+            tracing=False, metrics=False, profile=ProfilerConfig(wall=False)
+        )
+        sim = Simulator(obs=obs)
+        resumes = []
+
+        def sleeper():
+            try:
+                yield sim.sleep(100)
+                resumes.append(("woke", sim.now))
+            except Interrupted as exc:
+                resumes.append(("interrupted", sim.now, exc.cause))
+            yield sim.timeout(50)
+            yield sim.sleep(100)  # still asleep when the old wake-up pops
+            resumes.append(("slept", sim.now))
+
+        process = sim.process(sleeper())
+        sim.schedule(10, process.interrupt, "stop")
+        sim.run()
+        assert resumes == [("interrupted", 10, "stop"), ("slept", 160)]
+        assert obs.profiler.stale_wakeups == 1
+
+    def test_nested_resume_books_the_sleeper(self):
+        # A succeeds the event B waits on; B resumes inside A's step and
+        # sleeps there.  Its wake-up is B's, and A's next sleep is A's.
+        sim = Simulator()
+        handoff = sim.event()
+        log = []
+
+        def b():
+            yield handoff
+            yield sim.sleep(7)
+            log.append(("b", sim.now))
+
+        def a():
+            yield sim.sleep(3)
+            handoff.succeed()
+            yield sim.sleep(20)
+            log.append(("a", sim.now))
+
+        sim.process(b())
+        sim.process(a())
+        sim.run()
+        assert log == [("b", 10), ("a", 23)]
+
+    def test_event_after_booked_sleep_fails_process(self):
+        sim = Simulator()
+
+        def confused():
+            sim.sleep(5)
+            yield sim.timeout(1)
+
+        process = sim.process(confused())
+        sim.run()
+        assert process.triggered and not process.ok
